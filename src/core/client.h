@@ -4,10 +4,11 @@
 // library routines" (paper, Section 2). SyncClient is that library surface:
 // the full operation suite as plain blocking calls. Two implementations
 // exist — SimClient (pumps the discrete-event simulator until the
-// operation's callback fires) and TcpClient in tcp_world.h (waits on a
-// condition variable while the node's executor thread runs the operation).
-// KFS and the object runtime are written against this interface and run
-// unchanged over either transport.
+// operation's callback fires) and TcpClient in tcp_world.h (posts the
+// operation to the node's executor and blocks once for its completion;
+// get/put run lock + access + unlock there as one hand-off). KFS and the
+// object runtime are written against this interface and run unchanged over
+// either transport.
 #pragma once
 
 #include "core/node.h"
@@ -52,7 +53,11 @@ class SyncClient {
     return base;
   }
 
-  Status put(const AddressRange& range, std::span<const std::uint8_t> data) {
+  /// lock(kWrite) + write of `data` at the start of [range) + unlock; the
+  /// lock is released even when the write fails. Overridable so a
+  /// transport can run the three steps in one hand-off (TcpClient does).
+  virtual Status put(const AddressRange& range,
+                     std::span<const std::uint8_t> data) {
     auto ctx = lock(range, consistency::LockMode::kWrite);
     if (!ctx) return ctx.error();
     const Status s = write(ctx.value(), 0, data);
@@ -60,7 +65,8 @@ class SyncClient {
     return s;
   }
 
-  Result<Bytes> get(const AddressRange& range) {
+  /// lock(kRead) + read of all of [range) + unlock. Overridable like put.
+  virtual Result<Bytes> get(const AddressRange& range) {
     auto ctx = lock(range, consistency::LockMode::kRead);
     if (!ctx) return ctx.error();
     auto r = read(ctx.value(), 0, range.size);

@@ -1,7 +1,8 @@
 // Per-lane executor telemetry.
 //
-// Every cross-lane hop in the node goes through Node::post_to_lane, which
-// feeds this instrument set: one queue-depth gauge per lane (how many
+// Every cross-lane hop in the node (and the access + unlock job of a
+// Node::get/put) goes through Node::post_to_lane, which feeds this
+// instrument set: one queue-depth gauge per lane (how many
 // posted continuations are waiting to run there) and one shared dispatch
 // histogram (how long a continuation sat queued before its lane ran it).
 // Under the simulator posts run at the same virtual instant, so

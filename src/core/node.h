@@ -214,6 +214,7 @@ class Node final : public consistency::CmHost,
   using LockCb = std::function<void(Result<consistency::LockContext>)>;
   using AttrCb = std::function<void(Result<RegionAttrs>)>;
   using LocateCb = std::function<void(Result<std::vector<NodeId>>)>;
+  using BytesCb = std::function<void(Result<Bytes>)>;
 
   /// Reserves `size` bytes of global address space as a new region homed
   /// on this node (Section 2: reserve/unreserve).
@@ -248,6 +249,24 @@ class Node final : public consistency::CmHost,
   /// Writes into the locked range (requires a write-mode context).
   Status write(const consistency::LockContext& ctx, std::uint64_t offset,
                std::span<const std::uint8_t> data);
+
+  /// The lane that granted lock `ctx` — lock ids are lane-strided, so the
+  /// residue mod lanes_ recovers the owner. unlock/read/write run there.
+  [[nodiscard]] unsigned lock_lane(const consistency::LockContext& ctx) const {
+    return lanes_ <= 1 ? 0u : static_cast<unsigned>(ctx.id % lanes_);
+  }
+
+  /// Composite lock(kRead) + read of all of [range) + unlock. Once the
+  /// lock is granted, the read and the release run as one job posted to
+  /// the lock's lane (never inside the protocol's grant callback), so the
+  /// lock is held only across the access. `cb` fires once, with the
+  /// lock's error or the read's result.
+  void get(const AddressRange& range, BytesCb cb);
+
+  /// Composite lock(kWrite) + write of `data` at the start of [range) +
+  /// unlock, staged like get(). The lock is released even when the write
+  /// fails (e.g. kBadArgument for data longer than the range).
+  void put(const AddressRange& range, Bytes data, StatusCb cb);
 
   void getattr(const GlobalAddress& base, AttrCb cb);
   void setattr(const GlobalAddress& base, const RegionAttrs& attrs,
@@ -623,12 +642,6 @@ class Node final : public consistency::CmHost,
   [[nodiscard]] unsigned region_lane(const GlobalAddress& base) const {
     return lane_of(region_key(base), lanes_);
   }
-  /// The lane that granted lock `ctx` — lock ids are lane-strided, so the
-  /// residue mod lanes_ recovers the owner.
-  [[nodiscard]] unsigned lock_lane(const consistency::LockContext& ctx) const {
-    return lanes_ <= 1 ? 0u : static_cast<unsigned>(ctx.id % lanes_);
-  }
-
   /// Posts `fn` onto `lane`'s executor, feeding the lane.depth.* gauges
   /// and the lane.dispatch_us queueing histogram. Every cross-lane hop in
   /// the node funnels through here.

@@ -316,14 +316,17 @@ void Node::leave(StatusCb cb) {
 
   // Migrate homed regions one at a time; a failed hand-off aborts the
   // departure (the operator can retry — data must never be orphaned).
+  // The closure refers to itself weakly (a strong self-capture is a cycle
+  // that leaks it); the in-flight migrate callback keeps it alive.
   auto step = std::make_shared<std::function<void(std::size_t)>>();
-  *step = [this, bases, targets, finish, step, cb](std::size_t i) {
+  *step = [this, bases, targets, finish, self = std::weak_ptr(step),
+           cb](std::size_t i) {
     if (i >= bases->size()) {
       finish();
       return;
     }
     const NodeId target = targets[i % targets.size()];
-    migrate((*bases)[i], target, [this, i, step, cb](Status s) {
+    migrate((*bases)[i], target, [this, i, step = self.lock(), cb](Status s) {
       if (!s.ok()) {
         cb(s);
         return;

@@ -676,4 +676,42 @@ Status Node::write(const LockContext& ctx, std::uint64_t offset,
   return {};
 }
 
+// The grant callbacks below are called from inside the protocol's grant
+// loop (CREW's try_grant_local), so the access and the release run as a
+// fresh job on the lock's lane rather than re-entering the CM from there.
+
+void Node::get(const AddressRange& range, BytesCb cb) {
+  lock(range, LockMode::kRead,
+       [this, cb = std::move(cb)](Result<LockContext> r) mutable {
+         if (!r) {
+           cb(r.error());
+           return;
+         }
+         const LockContext ctx = r.value();
+         post_to_lane(lock_lane(ctx), [this, ctx, cb = std::move(cb)] {
+           Result<Bytes> out = read(ctx, 0, ctx.range.size);
+           unlock(ctx);
+           cb(std::move(out));
+         });
+       });
+}
+
+void Node::put(const AddressRange& range, Bytes data, StatusCb cb) {
+  lock(range, LockMode::kWrite,
+       [this, data = std::move(data),
+        cb = std::move(cb)](Result<LockContext> r) mutable {
+         if (!r) {
+           cb(r.error());
+           return;
+         }
+         const LockContext ctx = r.value();
+         post_to_lane(lock_lane(ctx), [this, ctx, data = std::move(data),
+                                       cb = std::move(cb)] {
+           const Status s = write(ctx, 0, data);
+           unlock(ctx);
+           cb(s);
+         });
+       });
+}
+
 }  // namespace khz::core

@@ -2,8 +2,9 @@
 //
 // The same Node code as SimWorld, but each node runs on its own executor
 // thread and messages travel through the kernel's TCP stack. TcpClient
-// provides the blocking SyncClient surface by posting operations onto the
-// node's executor and waiting on a condition variable. Used by the
+// provides the blocking SyncClient surface by posting each operation onto
+// the node's executor and blocking once for its completion (get/put fold
+// lock + access + unlock into that one visit). Used by the
 // integration tests to demonstrate that the node logic is genuinely
 // transport-agnostic (paper, Section 5: "only the messaging layer is
 // system dependent").
@@ -115,97 +116,109 @@ class TcpWorld {
 };
 
 /// Blocking SyncClient over a TcpWorld node. Operations are posted to the
-/// node's executor thread; the calling thread blocks until the completion
-/// callback fires.
+/// node's executor thread and the calling thread blocks once, until the
+/// completion callback fires. get/put make a single such visit: the lock,
+/// the access and the unlock all run on the node (Node::get/put), so the
+/// lock is held only across the access. Not callable from the node's own
+/// executor threads (the posted job could never run).
 class TcpClient final : public SyncClient {
  public:
   TcpClient(TcpWorld& world, NodeId node) : world_(world), node_(node) {}
 
   Result<GlobalAddress> reserve(std::uint64_t size,
                                 const RegionAttrs& attrs) override {
-    return wait<Result<GlobalAddress>>([&](auto done) {
-      world_.node(node_).reserve(size, attrs, done);
+    return wait<Result<GlobalAddress>>([size, attrs](Node& n, auto done) {
+      n.reserve(size, attrs, std::move(done));
     });
   }
   Status unreserve(const GlobalAddress& base) override {
-    return wait<Status>([&](auto done) {
-      world_.node(node_).unreserve(base, done);
+    return wait<Status>([base](Node& n, auto done) {
+      n.unreserve(base, std::move(done));
     });
   }
   Status allocate(const AddressRange& range) override {
-    return wait<Status>([&](auto done) {
-      world_.node(node_).allocate(range, done);
+    return wait<Status>([range](Node& n, auto done) {
+      n.allocate(range, std::move(done));
     });
   }
   Status deallocate(const AddressRange& range) override {
-    return wait<Status>([&](auto done) {
-      world_.node(node_).deallocate(range, done);
+    return wait<Status>([range](Node& n, auto done) {
+      n.deallocate(range, std::move(done));
     });
   }
   Result<consistency::LockContext> lock(
       const AddressRange& range, consistency::LockMode mode) override {
-    return wait<Result<consistency::LockContext>>([&](auto done) {
-      world_.node(node_).lock(range, mode, done);
-    });
+    return wait<Result<consistency::LockContext>>(
+        [range, mode](Node& n, auto done) {
+          n.lock(range, mode, std::move(done));
+        });
   }
   void unlock(const consistency::LockContext& ctx) override {
-    world_.transport(node_).run_on_lane(
-        lock_lane(ctx), [&] { world_.node(node_).unlock(ctx); });
+    world_.transport(node_).run_on_lane(node().lock_lane(ctx),
+                                        [&] { node().unlock(ctx); });
   }
   Result<Bytes> read(const consistency::LockContext& ctx,
                      std::uint64_t offset, std::uint64_t len) override {
     std::optional<Result<Bytes>> out;
     world_.transport(node_).run_on_lane(
-        lock_lane(ctx),
-        [&] { out = world_.node(node_).read(ctx, offset, len); });
+        node().lock_lane(ctx), [&] { out = node().read(ctx, offset, len); });
     return std::move(out).value();
   }
   Status write(const consistency::LockContext& ctx, std::uint64_t offset,
                std::span<const std::uint8_t> data) override {
     std::optional<Status> out;
     world_.transport(node_).run_on_lane(
-        lock_lane(ctx),
-        [&] { out = world_.node(node_).write(ctx, offset, data); });
+        node().lock_lane(ctx), [&] { out = node().write(ctx, offset, data); });
     return out.value();
   }
+  Status put(const AddressRange& range,
+             std::span<const std::uint8_t> data) override {
+    return wait<Status>([range, bytes = Bytes(data.begin(), data.end())](
+                            Node& n, auto done) mutable {
+      n.put(range, std::move(bytes), std::move(done));
+    });
+  }
+  Result<Bytes> get(const AddressRange& range) override {
+    return wait<Result<Bytes>>([range](Node& n, auto done) {
+      n.get(range, std::move(done));
+    });
+  }
   Result<RegionAttrs> getattr(const GlobalAddress& base) override {
-    return wait<Result<RegionAttrs>>([&](auto done) {
-      world_.node(node_).getattr(base, done);
+    return wait<Result<RegionAttrs>>([base](Node& n, auto done) {
+      n.getattr(base, std::move(done));
     });
   }
   Status setattr(const GlobalAddress& base,
                  const RegionAttrs& attrs) override {
-    return wait<Status>([&](auto done) {
-      world_.node(node_).setattr(base, attrs, done);
+    return wait<Status>([base, attrs](Node& n, auto done) {
+      n.setattr(base, attrs, std::move(done));
     });
   }
   Result<std::vector<NodeId>> locate(const GlobalAddress& addr) override {
-    return wait<Result<std::vector<NodeId>>>([&](auto done) {
-      world_.node(node_).locate(addr, done);
+    return wait<Result<std::vector<NodeId>>>([addr](Node& n, auto done) {
+      n.locate(addr, std::move(done));
     });
   }
   [[nodiscard]] NodeId node_id() const override { return node_; }
 
  private:
-  /// Lock state lives on the lane that minted the lock's id (ids are
-  /// lane-strided), so unlock/read/write must run on that lane's thread.
-  [[nodiscard]] unsigned lock_lane(const consistency::LockContext& ctx) {
-    const unsigned lanes = world_.node(node_).lanes();
-    return lanes <= 1 ? 0u : static_cast<unsigned>(ctx.id % lanes);
-  }
+  [[nodiscard]] Node& node() { return world_.node(node_); }
 
-  /// Posts `start(done)` to the node executor; blocks until `done(result)`
-  /// fires (possibly much later, from a different executor callback).
+  /// Posts `start(node, done)` to the node executor and blocks until
+  /// `done(result)` fires (possibly much later, from a different executor
+  /// callback). `done` may fire, and this call return, while `start` is
+  /// still running, so `start` must capture what it uses by value.
   template <typename R, typename Start>
   R wait(Start start) {
     auto state = std::make_shared<WaitState<R>>();
-    world_.transport(node_).run_on_executor([&] {
-      start([state](R r) {
-        std::lock_guard lk(state->mu);
-        state->result = std::move(r);
-        state->cv.notify_one();
-      });
-    });
+    world_.transport(node_).post(
+        0, [state, n = &node(), start = std::move(start)]() mutable {
+          start(*n, [state](R r) {
+            std::lock_guard lk(state->mu);
+            state->result = std::move(r);
+            state->cv.notify_one();
+          });
+        });
     std::unique_lock lk(state->mu);
     state->cv.wait(lk, [&] { return state->result.has_value(); });
     return std::move(*state->result);

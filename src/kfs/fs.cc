@@ -150,12 +150,11 @@ Result<GlobalAddress> FileSystem::ensure_block(
     inode.indirect = indirect.value();
   }
   // Patch the indirect table in place.
-  auto ctx = client_->lock({inode.indirect, kBlockSize}, LockMode::kWrite);
-  if (!ctx) return ctx.error();
   Encoder e;
   e.addr(block.value());
-  const Status s = client_->write(ctx.value(), ind * 16ull, e.data());
-  client_->unlock(ctx.value());
+  const Status s =
+      client_->put({inode.indirect.plus(ind * 16ull), e.data().size()},
+                   e.data());
   if (!s.ok()) return s.error();
   return block;
 }
@@ -206,10 +205,7 @@ Result<Bytes> FileSystem::file_read(const GlobalAddress& inode_addr,
       // Hole: reads as zeros.
       std::fill_n(out.begin() + static_cast<long>(done), chunk, 0);
     } else {
-      auto ctx = client_->lock({addr.value(), kBlockSize}, LockMode::kRead);
-      if (!ctx) return ctx.error();
-      auto data = client_->read(ctx.value(), in_block, chunk);
-      client_->unlock(ctx.value());
+      auto data = client_->get({addr.value().plus(in_block), chunk});
       if (!data) return data.error();
       std::copy(data.value().begin(), data.value().end(),
                 out.begin() + static_cast<long>(done));
@@ -260,14 +256,8 @@ Status FileSystem::file_write(const GlobalAddress& inode_addr,
       client_->unlock(ictx.value());
       return addr.error();
     }
-    auto bctx = client_->lock({addr.value(), kBlockSize}, LockMode::kWrite);
-    if (!bctx) {
-      client_->unlock(ictx.value());
-      return bctx.error();
-    }
-    const Status ws = client_->write(bctx.value(), in_block,
-                                     data.subspan(done, chunk));
-    client_->unlock(bctx.value());
+    const Status ws = client_->put({addr.value().plus(in_block), chunk},
+                                   data.subspan(done, chunk));
     if (!ws.ok()) {
       client_->unlock(ictx.value());
       return ws;
@@ -289,12 +279,7 @@ Result<Bytes> FileSystem::contig_read(const Inode& inode,
                                       std::uint64_t offset,
                                       std::uint64_t len) {
   // Single lock over the touched range of the one data region.
-  auto ctx = client_->lock({inode.contig.plus(offset), len},
-                           LockMode::kRead);
-  if (!ctx) return ctx.error();
-  auto data = client_->read(ctx.value(), 0, len);
-  client_->unlock(ctx.value());
-  return data;
+  return client_->get({inode.contig.plus(offset), len});
 }
 
 Status FileSystem::contig_write(const GlobalAddress& inode_addr, Inode inode,
@@ -305,11 +290,8 @@ Status FileSystem::contig_write(const GlobalAddress& inode_addr, Inode inode,
     // the region whenever the file size changes"; capacity is fixed here.
     return ErrorCode::kNoSpace;
   }
-  auto ctx = client_->lock({inode.contig.plus(offset), data.size()},
-                           LockMode::kWrite);
-  if (!ctx) return ctx.error();
-  const Status ws = client_->write(ctx.value(), 0, data);
-  client_->unlock(ctx.value());
+  const Status ws = client_->put({inode.contig.plus(offset), data.size()},
+                                 data);
   if (!ws.ok()) return ws;
   if (offset + data.size() > inode.size) {
     inode.size = offset + data.size();

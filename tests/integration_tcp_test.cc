@@ -4,6 +4,12 @@
 // messaging layer is system-dependent (Section 5).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <mutex>
+#include <set>
+#include <thread>
+
 #include "core/tcp_world.h"
 #include "kfs/fs.h"
 
@@ -13,6 +19,71 @@ namespace {
 using consistency::LockMode;
 
 Bytes fill(std::size_t n, std::uint8_t v) { return Bytes(n, v); }
+
+Bytes pattern(std::size_t n, std::uint8_t seed) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<std::uint8_t>(seed + i * 7);
+  }
+  return b;
+}
+
+/// Explicit three-call read: lock(kRead) + read + unlock.
+Result<Bytes> read_by_three_calls(SyncClient& c, const AddressRange& r) {
+  auto ctx = c.lock(r, LockMode::kRead);
+  if (!ctx) return ctx.error();
+  auto out = c.read(ctx.value(), 0, r.size);
+  c.unlock(ctx.value());
+  return out;
+}
+
+/// Explicit three-call write: lock(kWrite) + write + unlock.
+Status write_by_three_calls(SyncClient& c, const AddressRange& r,
+                            const Bytes& data) {
+  auto ctx = c.lock(r, LockMode::kWrite);
+  if (!ctx) return ctx.error();
+  const Status s = c.write(ctx.value(), 0, data);
+  c.unlock(ctx.value());
+  return s;
+}
+
+/// The one-visit get/put and the three-call sequence see the same bytes,
+/// in both directions, over a whole two-page region and a sub-range that
+/// straddles the page boundary, from the writer's node and another node.
+void expect_one_visit_matches_three_calls(TcpClient& a, TcpClient& b,
+                                          const GlobalAddress& base) {
+  const AddressRange whole{base, 8192};
+  const Bytes first = pattern(8192, 3);
+  ASSERT_TRUE(a.put(whole, first).ok());
+  for (TcpClient* c : {&a, &b}) {
+    auto three = read_by_three_calls(*c, whole);
+    ASSERT_TRUE(three.ok()) << to_string(three.error());
+    EXPECT_EQ(three.value(), first);
+    auto one = c->get(whole);
+    ASSERT_TRUE(one.ok()) << to_string(one.error());
+    EXPECT_EQ(one.value(), first);
+  }
+
+  const Bytes second = pattern(8192, 91);
+  ASSERT_TRUE(write_by_three_calls(b, whole, second).ok());
+  for (TcpClient* c : {&a, &b}) {
+    auto one = c->get(whole);
+    ASSERT_TRUE(one.ok()) << to_string(one.error());
+    EXPECT_EQ(one.value(), second);
+  }
+
+  const AddressRange mid{base.plus(4000), 200};
+  const Bytes patch = pattern(200, 200);
+  ASSERT_TRUE(a.put(mid, patch).ok());
+  auto sub = b.get(mid);
+  ASSERT_TRUE(sub.ok()) << to_string(sub.error());
+  EXPECT_EQ(sub.value(), patch);
+  auto three = read_by_three_calls(a, whole);
+  ASSERT_TRUE(three.ok()) << to_string(three.error());
+  Bytes expect = second;
+  std::copy(patch.begin(), patch.end(), expect.begin() + 4000);
+  EXPECT_EQ(three.value(), expect);
+}
 
 TEST(TcpIntegration, ReserveWriteReadAcrossRealSockets) {
   TcpWorld world({.nodes = 3, .base_port = 42100});
@@ -186,6 +257,150 @@ TEST(TcpIntegration, ConcurrentClientsFromSeparateThreads) {
   std::uint64_t v = 0;
   std::memcpy(&v, final.value().data(), 8);
   EXPECT_EQ(v, 20u);
+}
+
+// ---------------------------------------------------------------------------
+// One executor visit per get/put (Node::get/put behind TcpClient)
+// ---------------------------------------------------------------------------
+
+TEST(TcpIntegration, OneVisitGetPutMatchThreeCalls) {
+  TcpWorld world({.nodes = 3, .base_port = 42800});
+  TcpClient c1(world, 1);
+  TcpClient c2(world, 2);
+  auto base = c1.create_region(8192);
+  ASSERT_TRUE(base.ok()) << to_string(base.error());
+  expect_one_visit_matches_three_calls(c1, c2, base.value());
+}
+
+TEST(TcpIntegration, OneVisitGetPutMatchThreeCallsOnSecondLane) {
+  TcpWorld world({.nodes = 3, .base_port = 42900, .lanes = 2});
+  TcpClient c1(world, 1);
+  TcpClient c2(world, 2);
+  // Lock ids are minted on the region's lane, so lock_lane() names the
+  // lane the region lives on at the client node.
+  std::optional<GlobalAddress> on_lane1;
+  for (int i = 0; i < 32 && !on_lane1; ++i) {
+    auto base = c1.create_region(8192);
+    ASSERT_TRUE(base.ok()) << to_string(base.error());
+    auto ctx = c1.lock({base.value(), 8192}, LockMode::kRead);
+    ASSERT_TRUE(ctx.ok()) << to_string(ctx.error());
+    if (world.node(1).lock_lane(ctx.value()) == 1) on_lane1 = base.value();
+    c1.unlock(ctx.value());
+  }
+  ASSERT_TRUE(on_lane1.has_value()) << "no region hashed to lane 1";
+  expect_one_visit_matches_three_calls(c1, c2, *on_lane1);
+}
+
+TEST(TcpIntegration, OneVisitGetReportsLockError) {
+  TcpWorld world({.nodes = 3, .base_port = 43000});
+  TcpClient c1(world, 1);
+  // Reserved but never allocated: the lock fails, and get/put say why.
+  auto base = c1.reserve(4096, {});
+  ASSERT_TRUE(base.ok()) << to_string(base.error());
+  auto r = c1.get({base.value(), 4096});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), ErrorCode::kNotAllocated);
+  const Status s = c1.put({base.value(), 4096}, fill(4096, 1));
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error(), ErrorCode::kNotAllocated);
+}
+
+TEST(TcpIntegration, OneVisitOversizePutReleasesItsLock) {
+  TcpWorld world({.nodes = 3, .base_port = 43300});
+  TcpClient c1(world, 1);
+  TcpClient c2(world, 2);
+  auto base = c1.create_region(8192);
+  ASSERT_TRUE(base.ok()) << to_string(base.error());
+  const AddressRange first_page{base.value(), 4096};
+  ASSERT_TRUE(c1.put(first_page, fill(4096, 0x0A)).ok());
+
+  // More bytes than the locked range: the write is refused...
+  const Status big = c1.put(first_page, fill(8192, 0x0B));
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.error(), ErrorCode::kBadArgument);
+  // ...and the write lock was still released: another node takes it.
+  ASSERT_TRUE(c2.put(first_page, fill(4096, 0x0C)).ok());
+  auto r = c1.get(first_page);
+  ASSERT_TRUE(r.ok()) << to_string(r.error());
+  EXPECT_EQ(r.value(), fill(4096, 0x0C));
+}
+
+TEST(TcpIntegration, OneVisitStampedGetPutNeverTearAcrossThreads) {
+  TcpWorld world({.nodes = 3, .base_port = 43400});
+  constexpr std::size_t kPage = 4096;
+  constexpr int kRegions = 3;
+  constexpr int kThreads = 4;  // two on node 1, two on node 2
+  constexpr int kOps = 300;
+
+  // Every page written carries its stamp in the first word and a body
+  // derived from it; a read must match one stamp that was written.
+  auto stamped = [](std::uint64_t stamp) {
+    Bytes b(kPage);
+    std::memcpy(b.data(), &stamp, sizeof stamp);
+    for (std::size_t i = sizeof stamp; i < kPage; ++i) {
+      b[i] = static_cast<std::uint8_t>(stamp * 131 + i);
+    }
+    return b;
+  };
+  std::mutex mu;
+  std::set<std::uint64_t> written;
+  auto record = [&](std::uint64_t stamp) {
+    std::lock_guard lk(mu);
+    written.insert(stamp);
+  };
+
+  std::vector<GlobalAddress> regions;
+  {
+    TcpClient c0(world, 0);
+    for (int r = 0; r < kRegions; ++r) {
+      auto base = c0.create_region(kPage);
+      ASSERT_TRUE(base.ok()) << to_string(base.error());
+      const std::uint64_t stamp = 1'000'000 + static_cast<std::uint64_t>(r);
+      record(stamp);
+      ASSERT_TRUE(c0.put({base.value(), kPage}, stamped(stamp)).ok());
+      regions.push_back(base.value());
+    }
+  }
+
+  std::atomic<int> bad{0};
+  std::atomic<int> failed{0};
+  auto worker = [&](int t) {
+    TcpClient c(world, static_cast<NodeId>(1 + t % 2));
+    std::uint64_t x = 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(t + 1);
+    for (int i = 0; i < kOps; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      const AddressRange range{regions[x % kRegions], kPage};
+      if ((x >> 8) % 2 == 0) {
+        const std::uint64_t stamp =
+            (static_cast<std::uint64_t>(t + 1) << 32) |
+            static_cast<std::uint64_t>(i);
+        record(stamp);  // before the put: a reader may see it at once
+        if (!c.put(range, stamped(stamp)).ok()) failed.fetch_add(1);
+        continue;
+      }
+      auto r = c.get(range);
+      if (!r.ok() || r.value().size() != kPage) {
+        failed.fetch_add(1);
+        continue;
+      }
+      std::uint64_t stamp = 0;
+      std::memcpy(&stamp, r.value().data(), sizeof stamp);
+      bool known = false;
+      {
+        std::lock_guard lk(mu);
+        known = written.contains(stamp);
+      }
+      if (!known || r.value() != stamped(stamp)) bad.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(bad.load(), 0) << "torn or never-written page read";
 }
 
 }  // namespace
