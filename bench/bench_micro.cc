@@ -130,11 +130,11 @@ BENCHMARK(BM_RegionDirectoryLookup);
 // op.* histograms (deterministic virtual micros). This is the same registry
 // a production node would export, so the section doubles as an integration
 // check of the metrics path.
-void sim_latency_section(bench::JsonReport& report, unsigned lanes) {
+void sim_latency_section(bench::JsonReport& report) {
   constexpr std::uint64_t kPages = 32;
   constexpr int kRounds = 8;
 
-  core::SimWorld world({.nodes = 3, .lanes = lanes});
+  core::SimWorld world({.nodes = 3});
   auto base = world.create_region(0, kPages * 4096);
   if (!base.ok()) std::abort();
   for (std::uint64_t p = 0; p < kPages; ++p) {
@@ -206,23 +206,11 @@ void sim_latency_section(bench::JsonReport& report, unsigned lanes) {
 
 int main(int argc, char** argv) {
   khz::bench::JsonReport report("micro", argc, argv);
-  // --lanes N reruns the simulated section with that many execution lanes
-  // (default 1 = the legacy single-lane node, so existing baselines hold).
-  unsigned lanes = 1;
-  // google-benchmark rejects flags it does not know, so strip --json and
-  // --lanes before handing argv over.
+  // google-benchmark rejects flags it does not know, so strip --json
+  // before handing argv over.
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
-    const std::string a(argv[i]);
-    if (a == "--json") continue;
-    if (a.rfind("--lanes=", 0) == 0) {
-      lanes = static_cast<unsigned>(std::stoul(a.substr(8)));
-      continue;
-    }
-    if (a == "--lanes" && i + 1 < argc) {
-      lanes = static_cast<unsigned>(std::stoul(argv[++i]));
-      continue;
-    }
+    if (std::string(argv[i]) == "--json") continue;
     args.push_back(argv[i]);
   }
   int bench_argc = static_cast<int>(args.size());
@@ -233,7 +221,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  report.meta("lanes", std::to_string(lanes));
-  khz::sim_latency_section(report, lanes);
+  khz::sim_latency_section(report);
   return 0;
 }

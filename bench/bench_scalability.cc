@@ -79,107 +79,9 @@ Point run(std::size_t nodes, int rounds, bool contended) {
           static_cast<double>(meter.delta().messages) / total_ops};
 }
 
-// ---------------------------------------------------------------------------
-// Lane sweep: single-node aggregate throughput vs execution lanes
-// ---------------------------------------------------------------------------
-
-struct LanePoint {
-  double ops_per_sec;  // aggregate, virtual time
-  Micros elapsed;
-};
-
-/// Closed-loop multi-client workload against ONE server node: kStreams
-/// independent regions homed on node 0, each driven by a pair of clients
-/// alternating writes (every op forces an ownership hand-off through the
-/// server's CM, so its admission controller paces every op). service_us
-/// models handler CPU; with L lanes the node runs L single-writer
-/// admission controllers in parallel, so aggregate throughput should
-/// scale with L until the stream count stops covering every lane.
-LanePoint run_lanes(unsigned lanes, int ops_per_stream) {
-  SimWorld world({.nodes = 3,
-                  .admission_client_queue = 256,
-                  .admission_protocol_queue = 1024,
-                  .admission_replication_queue = 256,
-                  .admission_service_us = 50,
-                  .lanes = lanes});
-  constexpr int kStreams = 16;
-  struct Stream {
-    AddressRange region;
-    int remaining;
-    NodeId writer;  // alternates 1 <-> 2 so every write transfers ownership
-  };
-  std::vector<Stream> streams;
-  for (int i = 0; i < kStreams; ++i) {
-    auto base = world.create_region(0, 4096);
-    if (!base.ok()) std::abort();
-    streams.push_back({{base.value(), 4096}, ops_per_stream,
-                       static_cast<NodeId>(1 + (i % 2))});
-    if (!world.put(0, streams.back().region, fill(4096, 1)).ok()) {
-      std::abort();
-    }
-  }
-  int done = 0;
-  std::function<void(int)> kick = [&](int s) {
-    Stream& st = streams[static_cast<std::size_t>(s)];
-    if (st.remaining-- == 0) {
-      ++done;
-      return;
-    }
-    core::Node& node = world.node(st.writer);
-    st.writer = st.writer == 1 ? 2 : 1;
-    node.lock(st.region, LockMode::kWrite,
-              [&node, &kick, s, region = st.region](
-                  Result<consistency::LockContext> ctx) {
-                if (!ctx.ok()) std::abort();
-                const Bytes data = fill(4096, static_cast<std::uint8_t>(s));
-                if (!node.write(ctx.value(), 0, data).ok()) std::abort();
-                node.unlock(ctx.value());
-                kick(s);
-              });
-  };
-  const Micros t0 = world.net().now();
-  for (int s = 0; s < kStreams; ++s) kick(s);
-  if (!world.pump_until([&] { return done == kStreams; }, 50'000'000)) {
-    std::abort();
-  }
-  const Micros elapsed = std::max<Micros>(world.net().now() - t0, 1);
-  const double total_ops =
-      static_cast<double>(kStreams) * static_cast<double>(ops_per_stream);
-  return {total_ops * 1e6 / static_cast<double>(elapsed), elapsed};
-}
-
-void lanes_sweep(bench::JsonReport& report) {
-  const int kOps = 25;
-  std::printf(
-      "\nExecution-lane sweep: one paced server (service_us=50), 16\n"
-      "closed-loop write streams ping-ponging ownership through it.\n"
-      "Aggregate throughput should scale with lanes (virtual time).\n\n");
-  table_header({"lanes", "aggregate ops/s", "elapsed ms", "vs 1 lane"});
-  double base_tput = 0;
-  for (unsigned lanes : {1u, 2u, 4u, 8u}) {
-    const LanePoint p = run_lanes(lanes, kOps);
-    if (lanes == 1) base_tput = p.ops_per_sec;
-    cell(static_cast<std::uint64_t>(lanes));
-    cell(p.ops_per_sec);
-    cell(static_cast<double>(p.elapsed) / 1000.0);
-    cell(base_tput > 0 ? p.ops_per_sec / base_tput : 0.0);
-    endrow();
-    const std::string key = "lanes" + std::to_string(lanes);
-    report.metric(key + "_ops_per_sec", p.ops_per_sec);
-    report.metric(key + "_elapsed_us", static_cast<double>(p.elapsed));
-    if (lanes > 1 && base_tput > 0) {
-      report.metric(key + "_speedup", p.ops_per_sec / base_tput);
-    }
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  khz::bench::JsonReport report("lanes", argc, argv);
-  report.meta("world", "sim");
-  report.meta("workload", "closed-loop 16-stream write ping-pong, 1 server");
-  report.meta("service_us", "50");
+int main() {
   title("GOAL-SCALE | bench_scalability",
         "Per-node write throughput as nodes are added (LAN links).\n"
         "disjoint = each node its own region; contended = one shared region.");
@@ -206,7 +108,5 @@ int main(int argc, char** argv) {
       "Section 2 scalability goal), while the contended round time grows\n"
       "~linearly with N: CREW serializes the writers through ownership\n"
       "hand-offs on the single shared region.\n");
-  lanes_sweep(report);
-  report.finish();
   return 0;
 }

@@ -11,11 +11,6 @@ core — the CmHost bridge exists precisely so protocols never see Node)
 and fails the build. Parses quoted includes only: system/third-party
 headers in angle brackets are not layering edges.
 
-The lane primitives follow the same DAG: `common/lane.h` (lane tags,
-lane_of hashing) sits at the bottom so net/ and core/ both use it, and
-`core/lane_set.h` (per-lane telemetry) rides on obs like any other core
-header.
-
 Also enforces the src/core translation-unit size cap: node.cc was split
 into one-subsystem TUs (ops / queries / handlers / migrate / failover /
 telemetry / meta) and no src/core/*.cc may regress past MAX_CORE_TU_LINES

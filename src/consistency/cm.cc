@@ -12,14 +12,13 @@ obs::MetricsRegistry& CmHost::metrics() {
 }
 
 void CmHost::send_page_batch(NodeId peer, ProtocolId protocol, bool request,
-                             Bytes payload, std::uint64_t route_key) {
+                             Bytes payload) {
   // Default host has no batch channel: drop. Protocols treat batch sends
   // as best-effort and fall back to per-page requests on timeout.
   (void)peer;
   (void)protocol;
   (void)request;
   (void)payload;
-  (void)route_key;
 }
 
 std::string_view to_string(ProtocolId p) {

@@ -133,23 +133,11 @@ class CmHost {
   /// Sends a batched data-plane message (kPageBatchFetchReq when `request`,
   /// else kPageBatchFetchResp) whose payload covers many pages at once; the
   /// receiver routes it to the protocol's on_batch_fetch/on_batch_grant.
-  /// `route_key` is the lane-routing key every page in the batch shares
-  /// (route_key_of of any of them) — the receiving transport demuxes the
-  /// batch onto that key's lane. Defaulted to a drop so minimal hosts need
-  /// not implement batching: protocols must treat batch sends as
-  /// best-effort and recover through their per-page retry timers.
+  /// Defaulted to a drop so minimal hosts need not implement batching:
+  /// protocols must treat batch sends as best-effort and recover through
+  /// their per-page retry timers.
   virtual void send_page_batch(NodeId peer, ProtocolId protocol, bool request,
-                               Bytes payload, std::uint64_t route_key = 0);
-
-  /// Lane-routing key for `page`: the containing region's base address (or
-  /// 0 for control-plane pages such as the address map, which are confined
-  /// to lane 0). Protocols batching across pages must only merge pages that
-  /// share a route key — the receiver dispatches the whole batch onto one
-  /// lane. Defaulted to 0 (single-lane hosts and test fakes).
-  [[nodiscard]] virtual std::uint64_t route_key_of(const GlobalAddress& page) {
-    (void)page;
-    return 0;
-  }
+                               Bytes payload);
 };
 
 using GrantCallback = std::function<void(Status)>;

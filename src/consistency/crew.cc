@@ -170,7 +170,7 @@ void CrewManager::send_request(const GlobalAddress& page, LockMode mode,
     // whole prefetch window in one turn); the zero-delay timer flushes
     // them as one kPageBatchFetchReq. Retries never batch, so a lost
     // batch degrades to the plain per-page path.
-    fetch_batch_[{target, host_.route_key_of(page)}].push_back({page, mode});
+    fetch_batch_[target].push_back({page, mode});
     if (!fetch_flush_scheduled_) {
       fetch_flush_scheduled_ = true;
       host_.schedule(0, [this] { flush_fetch_batches(); });
@@ -185,8 +185,7 @@ void CrewManager::flush_fetch_batches() {
   fetch_flush_scheduled_ = false;
   auto batches = std::move(fetch_batch_);
   fetch_batch_.clear();
-  for (auto& [key, list] : batches) {
-    const auto& [target, route_key] = key;
+  for (auto& [target, list] : batches) {
     if (list.size() == 1) {
       // A batch of one gains nothing over the legacy message.
       send(target, list[0].page,
@@ -204,7 +203,7 @@ void CrewManager::flush_fetch_batches() {
         e.u8(static_cast<std::uint8_t>(list[i + j].mode));
       }
       host_.send_page_batch(target, ProtocolId::kCrew, /*request=*/true,
-                            std::move(e).take(), route_key);
+                            std::move(e).take());
       batch_pages_->record(n);
       batch_sent_at_[seq] = host_.now();
       // Responses to dropped batches never arrive; keep the latency map
@@ -503,9 +502,6 @@ void CrewManager::on_batch_fetch(NodeId from, Decoder& d) {
 
   Encoder out;
   std::uint32_t out_n = 0;
-  // All pages of one batch share a route key (the sender never mixes
-  // them), so the first page's key routes the whole response chunk.
-  std::uint64_t batch_route = 0;
   auto flush = [&] {
     if (out_n == 0) return;
     Encoder resp;
@@ -513,7 +509,7 @@ void CrewManager::on_batch_fetch(NodeId from, Decoder& d) {
     resp.u32(out_n);
     resp.raw(std::move(out).take());
     host_.send_page_batch(from, ProtocolId::kCrew, /*request=*/false,
-                          std::move(resp).take(), batch_route);
+                          std::move(resp).take());
     out = Encoder{};
     out_n = 0;
   };
@@ -522,7 +518,6 @@ void CrewManager::on_batch_fetch(NodeId from, Decoder& d) {
     const GlobalAddress page = d.addr();
     auto mode = static_cast<LockMode>(d.u8());
     if (!d.ok()) break;
-    if (i == 0) batch_route = host_.route_key_of(page);
     if (mode == LockMode::kWriteShared) mode = LockMode::kWrite;
     auto& st = state(page);
     auto& info = host_.page_info(page);

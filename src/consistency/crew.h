@@ -162,16 +162,13 @@ class CrewManager final : public ConsistencyManager {
 
   /// Same-turn request coalescing: first-attempt fetches issued within one
   /// execution turn (e.g. a multi-page lock's prefetch fan-out) accumulate
-  /// here per (target, route key) and flush as one kPageBatchFetchReq on a
-  /// zero-delay timer. Batches never mix route keys — the receiving
-  /// transport dispatches a whole batch onto one lane. Retransmissions
-  /// bypass the buffer (per-page legacy path).
+  /// here per target and flush as one kPageBatchFetchReq on a zero-delay
+  /// timer. Retransmissions bypass the buffer (per-page legacy path).
   struct PendingFetch {
     GlobalAddress page;
     LockMode mode;
   };
-  std::map<std::pair<NodeId, std::uint64_t>, std::vector<PendingFetch>>
-      fetch_batch_;
+  std::map<NodeId, std::vector<PendingFetch>> fetch_batch_;
   bool fetch_flush_scheduled_ = false;
   std::uint64_t next_batch_seq_ = 1;
   /// Send time per in-flight batch seq (for crew.batch_rpc_us); entries

@@ -105,19 +105,10 @@ std::size_t AdmissionController::depth(OpClass c) const {
 }
 
 void AdmissionController::update_depth_gauges() {
-  // Tracked deltas, not absolute set(): with one controller per lane the
-  // gauges aggregate every lane's depth, and a set() from one lane would
-  // clobber the others' contribution. At one lane the arithmetic reduces
-  // to the old absolute behavior.
-  const auto p = static_cast<std::int64_t>(protocol_.size());
-  const auto c = static_cast<std::int64_t>(client_.size());
-  const auto r = static_cast<std::int64_t>(replication_.size());
-  ins_.depth_protocol->add(p - reported_protocol_);
-  ins_.depth_client->add(c - reported_client_);
-  ins_.depth_replication->add(r - reported_replication_);
-  reported_protocol_ = p;
-  reported_client_ = c;
-  reported_replication_ = r;
+  ins_.depth_protocol->set(static_cast<std::int64_t>(protocol_.size()));
+  ins_.depth_client->set(static_cast<std::int64_t>(client_.size()));
+  ins_.depth_replication->set(
+      static_cast<std::int64_t>(replication_.size()));
 }
 
 bool AdmissionController::offer(net::Message& msg) {

@@ -157,13 +157,6 @@ class AdmissionController {
     obs::Gauge* depth_replication = nullptr;
     obs::Histogram* queue_us = nullptr;
   } ins_;
-
-  /// Last depths this controller contributed to the (node-wide, shared
-  /// across lanes) gauges; update_depth_gauges applies deltas against
-  /// these so per-lane controllers aggregate instead of clobbering.
-  std::int64_t reported_protocol_ = 0;
-  std::int64_t reported_client_ = 0;
-  std::int64_t reported_replication_ = 0;
 };
 
 }  // namespace khz::core

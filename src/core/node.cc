@@ -46,14 +46,13 @@ AdmissionConfig make_admission(const NodeConfig& c) {
   return a;
 }
 
-location::FabricConfig make_fabric(const NodeConfig& c, unsigned lanes) {
+location::FabricConfig make_fabric(const NodeConfig& c) {
   location::FabricConfig f;
   f.hint_sync_interval = c.hint_sync_interval;
   f.refresh_interval = c.refresh_interval;
   f.refresh_age_us = c.refresh_age_us;
   f.refresh_hot_accesses = c.refresh_hot_accesses;
   f.free_space_ttl = c.free_space_ttl;
-  f.lanes = lanes;
   return f;
 }
 
@@ -66,77 +65,26 @@ location::FabricConfig make_fabric(const NodeConfig& c, unsigned lanes) {
 Node::Node(NodeConfig config, net::Transport& transport)
     : config_(std::move(config)),
       transport_(transport),
-      lanes_(std::clamp(config_.lanes, 1u, kMaxLanes)),
-      rngs_([&] {
-        // Lane 0 seeds exactly like the legacy single-lane node; further
-        // lanes perturb by lane index so they draw independent streams.
-        std::vector<Rng> v;
-        for (unsigned l = 0; l < lanes_; ++l) {
-          v.emplace_back(config_.seed + config_.id * 7919 +
-                         l * 0x9e3779b9ULL);
-        }
-        return v;
-      }()),
+      rng_(config_.seed + config_.id * 7919),
       disk_(config_.disk_dir.empty()
                 ? nullptr
                 : std::make_shared<storage::DiskStore>(
                       config_.disk_dir, config_.disk_pages,
                       config_.segment_bytes)),
-      storages_([&] {
-        // One RAM level per lane over the shared disk store. lanes=1
-        // degenerates to the legacy full-size cache.
-        const std::size_t ram =
-            lanes_ > 1 ? std::max<std::size_t>(1, config_.ram_pages / lanes_)
-                       : config_.ram_pages;
-        std::vector<std::unique_ptr<storage::StorageHierarchy>> v;
-        for (unsigned l = 0; l < lanes_; ++l) {
-          v.push_back(std::make_unique<storage::StorageHierarchy>(ram, disk_));
-        }
-        return v;
-      }()),
-      pages_v_([&] {
-        std::vector<std::unique_ptr<storage::PageDirectory>> v;
-        for (unsigned l = 0; l < lanes_; ++l) {
-          v.push_back(std::make_unique<storage::PageDirectory>());
-        }
-        return v;
-      }()),
+      storage_(config_.ram_pages, disk_),
       tracer_(config_.id),
       flight_(config_.flight_recorder_capacity),
       series_(config_.stats_series_capacity),
       fabric_(std::make_unique<location::Fabric>(
-          *this, metrics_, make_fabric(config_, lanes_))),
+          *this, metrics_, make_fabric(config_))),
       regions_(fabric_->regions()),
       cluster_(fabric_->cluster()),
-      engines_([&] {
-        std::vector<std::unique_ptr<RpcEngine>> v;
-        for (unsigned l = 0; l < lanes_; ++l) {
-          v.push_back(std::make_unique<RpcEngine>(*this, make_policy(config_),
-                                                  metrics_));
-          // Lane-strided rpc ids: id % lanes recovers the issuing lane, so
-          // responses demux onto the right lane without shared state.
-          // lanes=1 yields the legacy 1,2,3… sequence.
-          v.back()->configure_ids(l + lanes_, lanes_);
-        }
-        return v;
-      }()),
-      meta_(*storages_[0], config_.id, [this] { return snapshot_state(); }),
-      admissions_([&] {
-        std::vector<std::unique_ptr<AdmissionController>> v;
-        for (unsigned l = 0; l < lanes_; ++l) {
-          v.push_back(std::make_unique<AdmissionController>(
-              *this, make_admission(config_), metrics_));
-        }
-        return v;
-      }()) {
+      engine_(*this, make_policy(config_), metrics_),
+      meta_(storage_, config_.id, [this] { return snapshot_state(); }),
+      admission_(*this, make_admission(config_), metrics_) {
   consistency::register_builtin_protocols();
-  cms_v_.resize(lanes_);
-  active_locks_v_.resize(lanes_);
-  for (unsigned l = 0; l < lanes_; ++l) next_lock_ids_.push_back(l + lanes_);
   if (disk_ != nullptr) configure_disk();
-  transport_.configure_lanes(lanes_);
   tracer_.set_clock(&transport_.clock());
-  lane_stats_.bind(metrics_, lanes_);
   ins_.reserves = &metrics_.counter("node.reserves");
   ins_.locks_granted = &metrics_.counter("node.locks_granted");
   ins_.locks_failed = &metrics_.counter("node.locks_failed");
@@ -171,12 +119,10 @@ Node::Node(NodeConfig config, net::Transport& transport)
   ins_.getattr_us = &metrics_.histogram("op.getattr_us");
   members_.insert(config_.id);
   for (NodeId p : config_.peers) members_.insert(p);
-  for (auto& s : storages_) {
-    s->set_evict_hook(
-        [this](const GlobalAddress& page, const Bytes& data) {
-          return evict_hook(page, data);
-        });
-  }
+  storage_.set_evict_hook([this](const GlobalAddress& page,
+                                  const Bytes& data) {
+    return evict_hook(page, data);
+  });
   transport_.set_handler([this](Message m) { on_message(std::move(m)); });
 }
 
@@ -184,11 +130,11 @@ Node::~Node() { stop(); }
 
 void Node::stop() {
   // Engines first: they cancel every pending RPC-attempt, backoff and
-  // reliable-send timer, all of which capture `this`. Callers over a live
-  // multi-lane TCP transport must quiesce the lane executors first
-  // (TcpWorld does); under the simulator everything is one thread.
-  for (auto& e : engines_) e->shutdown();
-  for (auto& a : admissions_) a->shutdown();
+  // reliable-send timer, all of which capture `this`. Over a live TCP
+  // transport this must run on the executor (TcpWorld does); under the
+  // simulator everything is one thread.
+  engine_.shutdown();
+  admission_.shutdown();
   if (fabric_) fabric_->stop();
   if (ping_timer_ != 0) {
     transport_.cancel(ping_timer_);
@@ -232,8 +178,7 @@ void Node::start() {
   if (config_.id == config_.genesis) {
     // Bootstrap region 0: the address map lives in Khazana itself
     // (Section 3.1). On restart an already formatted map is recovered from
-    // the persistent store. Map pages are control-plane (route key 0), so
-    // all of this state is touched from lane 0 only.
+    // the persistent store.
     map_store_ = std::make_unique<LocalMapStore>(*this);
     map_ = std::make_unique<AddressMap>(*map_store_);
     {
@@ -286,13 +231,12 @@ void Node::send_cm(NodeId peer, ProtocolId protocol, const GlobalAddress& page,
   Message m;
   m.type = MsgType::kCm;
   m.dst = peer;
-  m.route_key = route_key_of(page);
   m.payload = std::move(e).take();
   send_msg(std::move(m));
 }
 
 void Node::send_page_batch(NodeId peer, ProtocolId protocol, bool request,
-                           Bytes payload, std::uint64_t route_key) {
+                           Bytes payload) {
   Encoder e;
   e.u8(static_cast<std::uint8_t>(protocol));
   e.raw(payload);
@@ -300,43 +244,30 @@ void Node::send_page_batch(NodeId peer, ProtocolId protocol, bool request,
   m.type =
       request ? MsgType::kPageBatchFetchReq : MsgType::kPageBatchFetchResp;
   m.dst = peer;
-  m.route_key = route_key;
   m.payload = std::move(e).take();
   send_msg(std::move(m));
 }
 
-std::uint64_t Node::route_key_of(const GlobalAddress& page) {
-  // Map-region pages are control-plane: key 0 confines them to lane 0.
-  if (AddressRange{kMapRegionBase, kMapRegionSize}.contains(page)) return 0;
-  if (auto desc = homed_descriptor(page)) {
-    return region_key(desc->range.base);
-  }
-  if (auto desc = regions_.lookup(page)) {
-    return region_key(desc->range.base);
-  }
-  return 0;
-}
-
 storage::PageInfo& Node::page_info(const GlobalAddress& page) {
-  return pages_().ensure(page);
+  return pages_.ensure(page);
 }
 
 const Bytes* Node::page_data(const GlobalAddress& page) {
-  return storage_().get(page);
+  return storage_.get(page);
 }
 
 void Node::store_page(const GlobalAddress& page, Bytes data) {
-  storage_().put(page, std::move(data));
-  if (pages_().ensure(page).homed_locally) {
+  storage_.put(page, std::move(data));
+  if (pages_.ensure(page).homed_locally) {
     // Write-through for pages this node homes: their latest contents must
     // survive a restart (the page directory's persistent subset,
     // Section 3.4). Journal the version so recovery re-serves the page.
-    (void)storage_().flush(page);
+    (void)storage_.flush(page);
     journal_page(page);
   }
 }
 
-void Node::drop_page(const GlobalAddress& page) { storage_().erase(page); }
+void Node::drop_page(const GlobalAddress& page) { storage_.erase(page); }
 
 NodeId Node::home_of(const GlobalAddress& page) {
   if (AddressRange{kMapRegionBase, kMapRegionSize}.contains(page)) {
@@ -395,14 +326,13 @@ bool Node::write_gated(const GlobalAddress& page) {
   if (!desc.range.contains(page)) return false;
   if (!recovering_regions_.contains(desc.range.base)) return false;
   // The guarantee is satisfiable only up to the live membership size; a
-  // two-node system with min_replicas=3 must not gate forever. Only the
-  // page's owning lane asks (its CM), so pages_() below is its own shard.
+  // two-node system with min_replicas=3 must not gate forever.
   const auto target = std::min<std::size_t>(desc.attrs.min_replicas,
                                             membership().size());
   const std::uint32_t psz = desc.attrs.page_size;
   for (GlobalAddress p = desc.range.base; p < desc.range.end();
        p = p.plus(psz)) {
-    const auto* info = pages_().find(p);
+    const auto* info = pages_.find(p);
     std::size_t live = 0;
     if (info != nullptr) {
       for (NodeId s : info->sharers) {
@@ -430,12 +360,12 @@ std::uint64_t Node::schedule(Micros delay, std::function<void()> fn) {
 void Node::cancel(std::uint64_t timer_id) { transport_.cancel(timer_id); }
 
 consistency::ConsistencyManager* Node::cm_for(ProtocolId protocol) {
-  auto it = cms_().find(protocol);
-  if (it != cms_().end()) return it->second.get();
+  auto it = cms_.find(protocol);
+  if (it != cms_.end()) return it->second.get();
   auto cm = consistency::ProtocolRegistry::instance().create(protocol, *this);
   if (!cm) return nullptr;
   auto* raw = cm.get();
-  cms_().emplace(protocol, std::move(cm));
+  cms_.emplace(protocol, std::move(cm));
   return raw;
 }
 
@@ -446,60 +376,14 @@ consistency::ConsistencyManager* Node::cm_for(ProtocolId protocol) {
 void Node::route(Message m) {
   if (m.dst == config_.id) {
     // Self-sends loop back through the scheduler so handlers are never
-    // re-entered from within themselves — onto the lane that would have
-    // received the message off the wire, so self-sends and remote sends
-    // land on identical state.
+    // re-entered from within themselves.
     m.src = config_.id;
-    const unsigned target = net::target_lane(m, lanes_);
-    transport_.schedule_on(target, 0, [this, m = std::move(m)]() mutable {
+    transport_.schedule(0, [this, m = std::move(m)]() mutable {
       on_message(std::move(m));
     });
     return;
   }
   transport_.send(std::move(m));
-}
-
-void Node::post_to_lane(unsigned lane, std::function<void()> fn) {
-  lane_stats_.enqueued(lane);
-  const Micros t0 = now();
-  transport_.post(lane, [this, lane, t0, fn = std::move(fn)] {
-    lane_stats_.dispatched(lane, now() - t0);
-    fn();
-  });
-}
-
-void Node::run_on_region_lane(const GlobalAddress& base,
-                              std::function<void()> fn) {
-  const unsigned target = region_lane(base);
-  if (target == lane()) {
-    fn();
-    return;
-  }
-  // Carry the ambient deadline and trace context across the hop; they
-  // re-open against the TARGET lane's engine/tracer slot inside the post.
-  const Micros dl = engine_().ambient_deadline();
-  const obs::TraceContext ctx = tracer_.current();
-  post_to_lane(target, [this, dl, ctx, fn = std::move(fn)] {
-    RpcEngine::DeadlineScope dscope(engine_(), dl);
-    obs::ScopedTraceContext tscope(tracer_, ctx);
-    fn();
-  });
-}
-
-bool Node::hop_home(const Message& m, const GlobalAddress& addr) {
-  if (lanes_ <= 1) return false;
-  auto desc = homed_descriptor(addr);
-  // Not homed here: the handler's miss path touches only metadata-plane
-  // state (mutex-guarded), which any lane may serve.
-  if (!desc) return false;
-  const unsigned target = region_lane(desc->range.base);
-  if (target == lane()) return false;
-  Message copy = m;
-  copy.route_key = region_key(desc->range.base);
-  post_to_lane(target, [this, copy = std::move(copy)]() mutable {
-    dispatch_request(copy);
-  });
-  return true;
 }
 
 void Node::send_msg(Message m) {
@@ -513,7 +397,7 @@ void Node::on_message(Message msg) {
   if (is_down(msg.src)) mark_node_up(msg.src);
 
   if (is_response(msg.type)) {
-    engine_().on_response(msg);
+    engine_.on_response(msg);
     return;
   }
 
@@ -529,14 +413,14 @@ void Node::on_message(Message msg) {
   // per-class queues (shedding with kNack backpressure under overload) and
   // dispatch from the drain pump. Bypass classes — and everything when
   // admission is off — keep the synchronous path.
-  if (admission_().offer(msg)) return;
+  if (admission_.offer(msg)) return;
   dispatch_request(msg);
 }
 
 void Node::dispatch_request(const Message& msg) {
   // Nested RPCs issued while serving this request inherit what remains of
   // the caller's budget.
-  RpcEngine::DeadlineScope dscope(engine_(), msg.deadline);
+  RpcEngine::DeadlineScope dscope(engine_, msg.deadline);
 
   // Server side of a hop: everything this request triggers is parented to
   // the caller's wire context. Untraced messages stay untraced.
@@ -573,22 +457,6 @@ void Node::handle_request(const Message& msg) {
       Decoder d(msg.payload);
       const auto protocol = static_cast<ProtocolId>(d.u8());
       const GlobalAddress page = d.addr();
-      if (lanes_ > 1) {
-        // Safety net: the local resolution of the page's region is
-        // authoritative (the sender's key may be stale or 0 when it had no
-        // descriptor); fall back to the wire key when we know nothing.
-        std::uint64_t key = route_key_of(page);
-        if (key == 0) key = msg.route_key;
-        const unsigned target = lane_of(key, lanes_);
-        if (target != lane()) {
-          Message copy = msg;
-          copy.route_key = key;
-          post_to_lane(target, [this, copy = std::move(copy)]() mutable {
-            dispatch_request(copy);
-          });
-          return;
-        }
-      }
       if (auto* cm = cm_for(protocol)) cm->on_message(msg.src, page, d);
       return;
     }
@@ -641,19 +509,8 @@ void Node::handle_request(const Message& msg) {
         down_nodes_.erase(msg.src);
         missed_pongs_.erase(msg.src);
       }
-      // Every lane's CMs clean up protocol state for the departed peer, on
-      // their own lane. The calling lane (0: kLeave is control-plane) runs
-      // inline so lanes=1 keeps the legacy synchronous behavior.
-      const NodeId who = msg.src;
-      for (unsigned l = 0; l < lanes_; ++l) {
-        if (l == lane()) {
-          for (auto& [_, cm] : cms_v_[l]) cm->on_node_down(who);
-        } else {
-          post_to_lane(l, [this, who, l] {
-            for (auto& [_, cm] : cms_v_[l]) cm->on_node_down(who);
-          });
-        }
-      }
+      // The CMs clean up protocol state for the departed peer.
+      for (auto& [_, cm] : cms_) cm->on_node_down(msg.src);
       return;
     }
     case MsgType::kNodeListGossip: {
@@ -676,7 +533,7 @@ void Node::rpc(NodeId dst, MsgType type, Bytes payload, RespHandler handler) {
   RpcEngine::CallOptions opts;
   opts.max_attempts = 1;
   opts.ignore_down = true;
-  engine_().call({dst}, type, std::move(payload), std::move(handler),
+  engine_.call({dst}, type, std::move(payload), std::move(handler),
                std::move(opts));
 }
 
@@ -686,8 +543,8 @@ void Node::call(std::vector<NodeId> candidates, net::MsgType type,
   RpcEngine::CallOptions opts;
   opts.max_attempts = spec.max_attempts;
   opts.accept = std::move(spec.accept);
-  engine_().call(std::move(candidates), type, std::move(payload),
-                 std::move(handler), std::move(opts));
+  engine_.call(std::move(candidates), type, std::move(payload),
+               std::move(handler), std::move(opts));
 }
 
 void Node::respond(const Message& req, MsgType type, Bytes payload) {
@@ -695,9 +552,6 @@ void Node::respond(const Message& req, MsgType type, Bytes payload) {
   m.type = type;
   m.dst = req.src;
   m.rpc_id = req.rpc_id;
-  // Echo the request's routing key: responses demux by rpc_id, but one-way
-  // reply types (batch grants) still need the region key on the wire.
-  m.route_key = req.route_key;
   m.payload = std::move(payload);
   send_msg(std::move(m));
 }

@@ -13,16 +13,12 @@
 // machinery of Section 3.5 (acquire ops retried then reflected; release ops
 // retried in the background until they succeed).
 //
-// Execution model (docs/architecture.md, threading model): the node's
-// region, consistency-manager and page-directory state is partitioned by
-// region hash across NodeConfig.lanes single-writer execution lanes. Each
-// lane owns its shard exclusively — messages, timers and client entry
-// points for a region run on lane_of(region base), so per-region state
-// needs no locks. Cross-lane work hops via posted continuations; the
-// node-wide metadata plane (homed descriptors, pool, membership, meta
-// journal) is guarded by one coarse mutex. lanes = 1 (the default) is the
-// legacy single-threaded node, byte for byte. The SimWorld / TcpWorld
-// wrappers provide blocking convenience APIs on top.
+// Execution model (docs/architecture.md, threading model): every message,
+// timer and client entry point runs in the transport's one execution
+// context, so region, consistency-manager and page-directory state needs
+// no locks. The metadata plane (homed descriptors, pool, membership, meta
+// journal) is guarded by one coarse mutex. The SimWorld / TcpWorld wrappers
+// provide blocking convenience APIs on top.
 #pragma once
 
 #include <algorithm>
@@ -37,8 +33,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/lane.h"
-
 #include "common/result.h"
 #include "common/rng.h"
 #include "consistency/cm.h"
@@ -46,7 +40,6 @@
 #include "core/admission.h"
 #include "core/cluster.h"
 #include "core/meta_log.h"
-#include "core/lane_set.h"
 #include "core/region.h"
 #include "core/region_directory.h"
 #include "core/resolver.h"
@@ -157,14 +150,6 @@ struct NodeConfig {
 
   std::uint64_t seed = 42;
   std::uint32_t principal = 0;  // identity for ACL checks
-
-  /// Parallel execution lanes (docs/architecture.md, threading model).
-  /// Region/CM/page-directory state is partitioned by region hash across
-  /// this many single-writer lanes; the transport runs one executor per
-  /// lane (under the simulator the lanes are logical tags on one event
-  /// thread). Clamped to [1, kMaxLanes]. 1 = the legacy single-threaded
-  /// node, byte for byte.
-  unsigned lanes = 1;
 };
 
 /// Per-node operation counters (observability for tests and benches).
@@ -250,15 +235,9 @@ class Node final : public consistency::CmHost,
   Status write(const consistency::LockContext& ctx, std::uint64_t offset,
                std::span<const std::uint8_t> data);
 
-  /// The lane that granted lock `ctx` — lock ids are lane-strided, so the
-  /// residue mod lanes_ recovers the owner. unlock/read/write run there.
-  [[nodiscard]] unsigned lock_lane(const consistency::LockContext& ctx) const {
-    return lanes_ <= 1 ? 0u : static_cast<unsigned>(ctx.id % lanes_);
-  }
-
   /// Composite lock(kRead) + read of all of [range) + unlock. Once the
-  /// lock is granted, the read and the release run as one job posted to
-  /// the lock's lane (never inside the protocol's grant callback), so the
+  /// lock is granted, the read and the release run as one freshly posted
+  /// job (never inside the protocol's grant callback), so the
   /// lock is held only across the access. `cb` fires once, with the
   /// lock's error or the read's result.
   void get(const AddressRange& range, BytesCb cb);
@@ -340,26 +319,24 @@ class Node final : public consistency::CmHost,
   /// Causal span recorder for this node (spans export via the worlds'
   /// trace_json helpers).
   [[nodiscard]] obs::Tracer& tracer() override { return tracer_; }
-  /// The calling lane's RPC substrate (retries, deadlines, backoff).
-  /// Exposed so tests and advanced clients can issue deadline-scoped calls
-  /// directly; external threads (no lane context) see lane 0's engine.
-  [[nodiscard]] RpcEngine& rpc_engine() { return engine_(); }
-  /// The calling lane's admission queues (bounded, deadline-shedding).
-  /// Tests and benches inspect depths; configuration comes from NodeConfig.
-  [[nodiscard]] AdmissionController& admission() { return admission_(); }
-  /// The calling lane's two-level (RAM over disk) local page store.
-  [[nodiscard]] storage::StorageHierarchy& storage() { return storage_(); }
-  /// The calling lane's page metadata: sharers, owner, dirty, lock holds.
-  [[nodiscard]] storage::PageDirectory& page_directory() { return pages_(); }
-  /// Lane count this node actually runs with (config clamped).
-  [[nodiscard]] unsigned lanes() const { return lanes_; }
+  /// The RPC substrate (retries, deadlines, backoff). Exposed so tests
+  /// and advanced clients can issue deadline-scoped calls directly.
+  [[nodiscard]] RpcEngine& rpc_engine() { return engine_; }
+  /// The admission queues (bounded, deadline-shedding). Tests and benches
+  /// inspect depths; configuration comes from NodeConfig.
+  [[nodiscard]] AdmissionController& admission() { return admission_; }
+  /// The two-level (RAM over disk) local page store.
+  [[nodiscard]] storage::StorageHierarchy& storage() { return storage_; }
+  /// Page metadata: sharers, owner, dirty, lock holds.
+  [[nodiscard]] storage::PageDirectory& page_directory() { return pages_; }
   /// The location fabric: resolver, caches, hint anti-entropy and the
   /// proactive-refresh pass behind one facade (docs/location.md).
   [[nodiscard]] location::Fabric& fabric() { return *fabric_; }
   /// LRU cache of recently used region descriptors (location level 1).
   [[nodiscard]] RegionDirectory& region_directory() { return regions_; }
   /// Current cluster membership as this node believes it (includes self).
-  /// By value: membership mutates on lane 0 while any lane may ask.
+  /// By value: membership mutates on the executor while other threads may
+  /// ask.
   [[nodiscard]] std::set<NodeId> members() const {
     std::lock_guard lk(state_mu_);
     return members_;
@@ -384,11 +361,9 @@ class Node final : public consistency::CmHost,
   /// stats_sample_interval > 0).
   [[nodiscard]] obs::TimeSeriesRing& stats_series() { return series_; }
 
-  /// Pending background (release-side) retry operations, across all lanes.
+  /// Pending background (release-side) retry operations.
   [[nodiscard]] std::size_t background_queue_depth() const {
-    std::size_t n = 0;
-    for (const auto& e : engines_) n += e->reliable_queue_depth();
-    return n;
+    return engine_.reliable_queue_depth();
   }
 
   // --- application-layer messaging (distributed object runtime) ---------
@@ -408,9 +383,7 @@ class Node final : public consistency::CmHost,
   void send_cm(NodeId peer, consistency::ProtocolId protocol,
                const GlobalAddress& page, Bytes payload) override;
   void send_page_batch(NodeId peer, consistency::ProtocolId protocol,
-                       bool request, Bytes payload,
-                       std::uint64_t route_key) override;
-  [[nodiscard]] std::uint64_t route_key_of(const GlobalAddress& page) override;
+                       bool request, Bytes payload) override;
   storage::PageInfo& page_info(const GlobalAddress& page) override;
   const Bytes* page_data(const GlobalAddress& page) override;
   void store_page(const GlobalAddress& page, Bytes data) override;
@@ -428,7 +401,7 @@ class Node final : public consistency::CmHost,
   [[nodiscard]] Micros now() const override;
   std::uint64_t schedule(Micros delay, std::function<void()> fn) override;
   void cancel(std::uint64_t timer_id) override;
-  [[nodiscard]] Rng& rng() override { return rngs_[lane()]; }
+  [[nodiscard]] Rng& rng() override { return rng_; }
   [[nodiscard]] Micros rpc_timeout() const override {
     return config_.rpc_timeout;
   }
@@ -444,7 +417,7 @@ class Node final : public consistency::CmHost,
   }
   /// Protocol retries share the engine's capped jittered backoff policy.
   [[nodiscard]] Micros retry_backoff(int attempt) override {
-    return engine_().backoff(attempt);
+    return engine_.backoff(attempt);
   }
 
   // --- AdmissionController::Host (now/schedule/cancel shared with CmHost)
@@ -455,8 +428,8 @@ class Node final : public consistency::CmHost,
   [[nodiscard]] NodeId genesis() const override { return config_.genesis; }
   [[nodiscard]] std::optional<RegionDescriptor> homed_descriptor(
       const GlobalAddress& addr) override;
-  /// One location-plane RPC, backed by the calling lane's engine (the
-  /// fabric's CallSpec maps onto the engine's attempt/steer policy).
+  /// One location-plane RPC, backed by the node's engine (the fabric's
+  /// CallSpec maps onto the engine's attempt/steer policy).
   void call(std::vector<NodeId> candidates, net::MsgType type, Bytes payload,
             location::Resolver::Host::CallHandler handler,
             location::Resolver::Host::CallSpec spec) override;
@@ -609,76 +582,23 @@ class Node final : public consistency::CmHost,
   /// compacts cold segments, then re-arms.
   void checkpoint_tick();
 
-  // --- lane plumbing (docs/architecture.md, threading model) ------------
-  /// Clamped calling-lane index. External threads (no lane context) and
-  /// single-lane nodes resolve to lane 0.
-  [[nodiscard]] unsigned lane() const {
-    const unsigned l = current_lane();
-    return l < lanes_ ? l : 0;
-  }
-  // The calling lane's shard of each partitioned subsystem. Named with the
-  // trailing underscore of the members they replaced so call sites read
-  // unchanged (engine_() where engine_ once stood).
-  [[nodiscard]] RpcEngine& engine_() { return *engines_[lane()]; }
-  [[nodiscard]] AdmissionController& admission_() {
-    return *admissions_[lane()];
-  }
-  [[nodiscard]] storage::StorageHierarchy& storage_() {
-    return *storages_[lane()];
-  }
-  [[nodiscard]] storage::PageDirectory& pages_() { return *pages_v_[lane()]; }
-  [[nodiscard]] auto& cms_() { return cms_v_[lane()]; }
-  [[nodiscard]] auto& active_locks_() { return active_locks_v_[lane()]; }
-
-  /// Node-count-independent lane routing key for the region based at
-  /// `base`: 0 for the map region (control plane, lane 0), else a stable
-  /// hash of the base address. Every node hashes the same key against its
-  /// own lane count, so sender and receiver lane counts need not match.
-  [[nodiscard]] static std::uint64_t region_key(const GlobalAddress& base) {
-    if (AddressRange{kMapRegionBase, kMapRegionSize}.contains(base)) return 0;
-    return std::hash<GlobalAddress>{}(base);
-  }
-  /// The lane owning the region based at `base` on THIS node.
-  [[nodiscard]] unsigned region_lane(const GlobalAddress& base) const {
-    return lane_of(region_key(base), lanes_);
-  }
-  /// Posts `fn` onto `lane`'s executor, feeding the lane.depth.* gauges
-  /// and the lane.dispatch_us queueing histogram. Every cross-lane hop in
-  /// the node funnels through here.
-  void post_to_lane(unsigned lane, std::function<void()> fn);
-  /// Posts `fn` onto the lane owning region `base`, carrying the caller's
-  /// ambient deadline and trace context across the hop (they re-open inside
-  /// the target lane's engine/tracer). Runs inline when already there.
-  void run_on_region_lane(const GlobalAddress& base, std::function<void()> fn);
-  /// Re-posts a decoded request onto the lane owning the region homed at
-  /// `addr`. True = message re-posted, the caller must return immediately;
-  /// false = already on the owning lane (or the region is not homed here,
-  /// a pure-metadata miss path any lane may serve).
-  bool hop_home(const net::Message& m, const GlobalAddress& addr);
-
   NodeConfig config_;
   net::Transport& transport_;
-  /// Lane count this node actually runs with (config_.lanes clamped to
-  /// [1, kMaxLanes]).
-  unsigned lanes_ = 1;
-  /// Per-lane deterministic RNGs (lane 0 seeds exactly like the legacy
-  /// single-lane node).
-  std::vector<Rng> rngs_;
+  /// Deterministic RNG, seeded from (seed, id).
+  Rng rng_;
 
-  /// One DiskStore shared by every lane's hierarchy: pages are
-  /// lane-partitioned so lanes never contend on a page; the store's
-  /// occupancy counter synchronizes internally. Null = diskless.
+  /// Null = diskless. Shared with the hierarchy; the store synchronizes
+  /// internally.
   std::shared_ptr<storage::DiskStore> disk_;
-  std::vector<std::unique_ptr<storage::StorageHierarchy>> storages_;
-  std::vector<std::unique_ptr<storage::PageDirectory>> pages_v_;
+  storage::StorageHierarchy storage_;
+  storage::PageDirectory pages_;
 
   /// Coarse metadata-plane lock: guards homed_regions_, pool_,
   /// granted_bytes_, members_, down_nodes_, missed_pongs_,
   /// recovering_regions_, journaled_pages_ and every meta_ record/
   /// checkpoint call. Recursive because checkpoint() pulls
   /// snapshot_state() re-entrantly from under a record_* call. The data
-  /// plane (page contents, CM state, per-lane directories) never takes
-  /// it — that is what the lanes exist to avoid.
+  /// plane (page contents, CM state, page directory) never takes it.
   mutable std::recursive_mutex state_mu_;
 
   /// Regions homed on this node: authoritative descriptors.
@@ -690,21 +610,20 @@ class Node final : public consistency::CmHost,
   /// concurrent managers never hand out overlapping chunks).
   std::uint64_t granted_bytes_ = 0;
   /// Mirror of every locally-journaled page version, maintained beside the
-  /// per-lane page directories so snapshot_state() (metadata plane) never
-  /// walks another lane's shard.
+  /// page directory so snapshot_state() (metadata plane, any thread) never
+  /// walks executor-owned state.
   std::map<GlobalAddress, Version> journaled_pages_;
 
   std::unique_ptr<LocalMapStore> map_store_;
   std::unique_ptr<AddressMap> map_;
   /// Genesis only: map mutations since start, driving the periodic
-  /// rebalance pass (config_.map_rebalance_every). Lane 0 only.
+  /// rebalance pass (config_.map_rebalance_every).
   std::uint32_t map_mutations_ = 0;
 
-  /// Per-lane consistency managers: lane L's CMs only ever see pages whose
-  /// region hashes to L (the address map's release CM lives on lane 0).
-  std::vector<std::map<consistency::ProtocolId,
-                       std::unique_ptr<consistency::ConsistencyManager>>>
-      cms_v_;
+  /// One consistency manager per protocol in use, created on demand.
+  std::map<consistency::ProtocolId,
+           std::unique_ptr<consistency::ConsistencyManager>>
+      cms_;
 
   // Active lock contexts.
   struct ActiveLock {
@@ -714,10 +633,8 @@ class Node final : public consistency::CmHost,
     std::set<GlobalAddress> dirty;
     std::uint32_t page_size = kDefaultPageSize;
   };
-  /// Per-lane lock tables; ids are lane-strided (id % lanes = owning lane)
-  /// so unlock/read/write route home from the context alone.
-  std::vector<std::unordered_map<std::uint64_t, ActiveLock>> active_locks_v_;
-  std::vector<std::uint64_t> next_lock_ids_;
+  std::unordered_map<std::uint64_t, ActiveLock> active_locks_;
+  std::uint64_t next_lock_id_ = 1;
 
   std::set<NodeId> members_;
   std::set<NodeId> down_nodes_;
@@ -731,8 +648,6 @@ class Node final : public consistency::CmHost,
   // Observability. `ins_` pre-binds the hot-path instruments so counting
   // never takes the registry's name-lookup mutex.
   obs::MetricsRegistry metrics_;
-  /// Per-lane depth gauges + dispatch histogram fed by post_to_lane.
-  LaneStats lane_stats_;
   obs::Tracer tracer_;
   /// Telemetry plane (docs/observability.md): slow-op dossier ring and the
   /// self-sampled metric-delta time series, both exported through the
@@ -751,15 +666,14 @@ class Node final : public consistency::CmHost,
   RegionDirectory& regions_;
   ClusterState& cluster_;
 
-  /// RPC substrate + the subsystems split out of the old god object, one
-  /// shard per lane. All see the node only through narrow host interfaces.
-  /// Declared after metrics_ (their instruments bind at construction);
-  /// engines mint lane-strided rpc ids so responses route by id % lanes.
-  std::vector<std::unique_ptr<RpcEngine>> engines_;
-  /// Bound to lane 0's hierarchy (all journal I/O funnels through the
-  /// shared DiskStore); every record_*/checkpoint call holds state_mu_.
+  /// RPC substrate + the subsystems split out of the old god object. All
+  /// see the node only through narrow host interfaces. Declared after
+  /// metrics_ (their instruments bind at construction).
+  RpcEngine engine_;
+  /// Bound to the hierarchy (all journal I/O funnels through the shared
+  /// DiskStore); every record_*/checkpoint call holds state_mu_.
   MetaLog meta_;
-  std::vector<std::unique_ptr<AdmissionController>> admissions_;
+  AdmissionController admission_;
   /// Failure-detector loop timer; cancelled by stop().
   std::uint64_t ping_timer_ = 0;
   /// Self-sampler loop timer; cancelled by stop().

@@ -61,18 +61,7 @@ void Node::mark_node_down(NodeId node) {
   // ownership for homed pages, and promotion may have just made this node
   // the home of regions the dead peer owned.
   maybe_promote_regions(node);
-  // Per-lane protocol cleanup: each lane's CMs scrub their own page shard.
-  // Inline on the calling lane (so lanes=1 keeps the legacy synchronous
-  // order), posted to the others.
-  for (unsigned l = 0; l < lanes_; ++l) {
-    if (l == lane()) {
-      for (auto& [_, cm] : cms_v_[l]) cm->on_node_down(node);
-    } else {
-      post_to_lane(l, [this, l, node] {
-        for (auto& [_, cm] : cms_v_[l]) cm->on_node_down(node);
-      });
-    }
-  }
+  for (auto& [_, cm] : cms_) cm->on_node_down(node);
 }
 
 void Node::mark_node_up(NodeId node) {
@@ -81,15 +70,8 @@ void Node::mark_node_up(NodeId node) {
     down_nodes_.erase(node);
     missed_pongs_[node] = 0;
   }
-  // Reliable sends to this peer paused while it was down; every lane's
-  // engine resumes its own queue.
-  for (unsigned l = 0; l < lanes_; ++l) {
-    if (l == lane()) {
-      engines_[l]->on_node_up(node);
-    } else {
-      post_to_lane(l, [this, l, node] { engines_[l]->on_node_up(node); });
-    }
-  }
+  // Reliable sends to this peer paused while it was down; resume them.
+  engine_.on_node_up(node);
 }
 
 // ---------------------------------------------------------------------------
@@ -131,11 +113,7 @@ void Node::maybe_promote_regions(NodeId dead) {
     desc.home_nodes.insert(desc.home_nodes.begin(), heir);
     regions_.insert(desc);
 
-    if (heir == config_.id) {
-      // Promotion installs page state into the region's shard; run there.
-      run_on_region_lane(desc.range.base,
-                         [this, desc, dead] { promote_region(desc, dead); });
-    }
+    if (heir == config_.id) promote_region(desc, dead);
   }
 }
 
@@ -159,12 +137,12 @@ void Node::promote_region(RegionDescriptor desc, NodeId dead) {
   const std::uint32_t psz = desc.attrs.page_size;
   for (GlobalAddress p = desc.range.base; p < desc.range.end();
        p = p.plus(psz)) {
-    auto& info = pages_().ensure(p);
+    auto& info = pages_.ensure(p);
     info.homed_locally = true;
     info.home = config_.id;
     info.sharers.erase(dead);
     const bool have_copy =
-        info.state != PageState::kInvalid && storage_().get(p) != nullptr;
+        info.state != PageState::kInvalid && storage_.get(p) != nullptr;
     if (have_copy) {
       info.sharers.insert(config_.id);
       if (info.owner == dead || info.owner == kNoNode ||
@@ -176,7 +154,7 @@ void Node::promote_region(RegionDescriptor desc, NodeId dead) {
       // cache was repointed by its own maybe_promote_regions — and hand
       // ownership back here with the newest bytes.
       if (info.state == PageState::kExclusive) info.state = PageState::kShared;
-      (void)storage_().flush(p);
+      (void)storage_.flush(p);
       journal_page(p);
     } else {
       if (info.owner == dead) info.owner = kNoNode;
@@ -210,7 +188,7 @@ void Node::promote_region(RegionDescriptor desc, NodeId dead) {
   map_req.range(desc.range);
   map_req.u32(static_cast<std::uint32_t>(desc.home_nodes.size()));
   for (NodeId h : desc.home_nodes) map_req.u32(h);
-  engine_().send_reliable(config_.genesis, MsgType::kMapMutateReq,
+  engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
                 std::move(map_req).take());
 
   // Honor min_replicas before accepting new writes: gate write grants

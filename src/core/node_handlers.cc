@@ -76,7 +76,6 @@ void Node::on_reserve_req(const Message& m) {
 void Node::on_unreserve_req(const Message& m) {
   Decoder d(m.payload);
   const GlobalAddress base = d.addr();
-  if (hop_home(m, base)) return;  // page teardown runs on the region lane
   RegionDescriptor desc;
   {
     std::lock_guard<std::recursive_mutex> g(state_mu_);
@@ -101,7 +100,7 @@ void Node::on_unreserve_req(const Message& m) {
   map_req.u8(2);  // erase
   map_req.range(desc.range);
   map_req.u32(0);
-  engine_().send_reliable(config_.genesis, MsgType::kMapMutateReq,
+  engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
                 std::move(map_req).take());
   respond(m, MsgType::kUnreserveResp, status_payload(ErrorCode::kOk));
 }
@@ -197,7 +196,6 @@ void Node::on_map_mutate_req(const Message& m) {
 // ---------------------------------------------------------------------------
 
 void Node::on_desc_lookup_req(const Message& m) {
-  // Metadata-only: any lane may serve it from under the state lock.
   Decoder d(m.payload);
   const GlobalAddress addr = d.addr();
   if (auto desc = homed_descriptor(addr)) {
@@ -262,7 +260,6 @@ void Node::on_cluster_walk_req(const Message& m) {
 void Node::on_locate_req(const Message& m) {
   Decoder d(m.payload);
   const GlobalAddress addr = d.addr();
-  if (hop_home(m, addr)) return;  // reads the region lane's page directory
   const auto desc = homed_descriptor(addr);
   if (!desc) {
     respond(m, MsgType::kLocateResp, status_payload(ErrorCode::kNotFound));
@@ -270,7 +267,7 @@ void Node::on_locate_req(const Message& m) {
   }
   const GlobalAddress page = desc->page_of(addr);
   std::set<NodeId> holders;
-  if (auto* info = pages_().find(page)) {
+  if (auto* info = pages_.find(page)) {
     holders = info->sharers;
     if (info->owner != kNoNode) holders.insert(info->owner);
   }
@@ -288,7 +285,6 @@ void Node::on_locate_req(const Message& m) {
 void Node::on_alloc_req(const Message& m) {
   Decoder d(m.payload);
   const AddressRange range = d.range();
-  if (hop_home(m, range.base)) return;  // fills the region lane's shard
   std::lock_guard<std::recursive_mutex> g(state_mu_);
   auto it = homed_regions_.upper_bound(range.base);
   if (it == homed_regions_.begin() ||
@@ -307,7 +303,6 @@ void Node::on_alloc_req(const Message& m) {
 void Node::on_free_req(const Message& m) {
   Decoder d(m.payload);
   const AddressRange range = d.range();
-  if (hop_home(m, range.base)) return;  // tears down the region lane's shard
   if (auto desc = homed_descriptor(range.base);
       desc && desc->range.contains_range(range)) {
     release_region_pages(*desc, range);
@@ -320,8 +315,7 @@ void Node::on_free_req(const Message& m) {
 // ---------------------------------------------------------------------------
 
 void Node::on_attr_req(const Message& m, bool set) {
-  // Attribute state is metadata-plane only; serve on any lane under the
-  // state lock (no hop).
+  // Attribute state is metadata-plane only; serve under the state lock.
   Decoder d(m.payload);
   const GlobalAddress addr = d.addr();
   std::lock_guard<std::recursive_mutex> g(state_mu_);
@@ -372,15 +366,6 @@ void Node::on_replica_push(const Message& m) {
   RegionDescriptor desc = RegionDescriptor::decode(d);
   const std::uint32_t count = d.u32();
   if (!d.ok()) return;
-  // Pushes arrive via the reliable-send path (route_key 0 → lane 0); the
-  // target lane comes from the descriptor the payload itself carries.
-  if (lanes_ > 1) {
-    const unsigned target = region_lane(desc.range.base);
-    if (target != lane()) {
-      post_to_lane(target, [this, mc = m] { on_replica_push(mc); });
-      return;
-    }
-  }
   regions_.insert(desc);
 
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -390,7 +375,7 @@ void Node::on_replica_push(const Message& m) {
     Bytes data = d.bytes();
     if (!d.ok()) return;
 
-    auto& info = pages_().ensure(page);
+    auto& info = pages_.ensure(page);
 
     if (from_owner && desc.primary_home() == config_.id) {
       // The exclusive owner pushed its dirty data back and demoted itself
@@ -420,24 +405,23 @@ void Node::on_replica_push(const Message& m) {
 void Node::on_replica_drop(const Message& m) {
   Decoder d(m.payload);
   const GlobalAddress page = d.addr();
-  auto* info = pages_().find(page);
+  auto* info = pages_.find(page);
   if (info != nullptr) {
     if (info->locked()) return;
     info->state = PageState::kInvalid;
   }
-  storage_().erase(page);
-  pages_().erase(page);
+  storage_.erase(page);
+  pages_.erase(page);
 }
 
 void Node::maintain_replicas(const GlobalAddress& page) {
   if (AddressRange{kMapRegionBase, kMapRegionSize}.contains(page)) return;
 
-  auto* info = pages_().find(page);
+  auto* info = pages_.find(page);
   if (info == nullptr) return;
 
-  // Home side: top the copyset up to min_replicas. Runs on the region's
-  // owning lane (callers are CM hooks / pushed installs already routed
-  // there); the descriptor mutation below needs the state lock.
+  // Home side: top the copyset up to min_replicas. The descriptor
+  // mutation below needs the state lock.
   std::unique_lock<std::recursive_mutex> held(state_mu_);
   auto it = homed_regions_.upper_bound(page);
   if (it != homed_regions_.begin() &&
@@ -446,7 +430,7 @@ void Node::maintain_replicas(const GlobalAddress& page) {
     const std::uint32_t target = desc.attrs.min_replicas;
     if (target <= 1) return;
     if (info->state == PageState::kInvalid) return;  // owner holds the data
-    const Bytes* data = storage_().get(page);
+    const Bytes* data = storage_.get(page);
     if (data == nullptr) return;
     info->sharers.insert(config_.id);
 
@@ -499,7 +483,7 @@ void Node::maintain_replicas(const GlobalAddress& page) {
         map_req.range(desc.range);
         map_req.u32(static_cast<std::uint32_t>(desc.home_nodes.size()));
         for (NodeId h : desc.home_nodes) map_req.u32(h);
-        engine_().send_reliable(config_.genesis, MsgType::kMapMutateReq,
+        engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
                       std::move(map_req).take());
       }
     }
@@ -516,7 +500,7 @@ void Node::maintain_replicas(const GlobalAddress& page) {
     if (target <= 1) return;
     auto desc = regions_.lookup(page);
     if (!desc) return;
-    const Bytes* data = storage_().get(page);
+    const Bytes* data = storage_.get(page);
     if (data == nullptr) return;
     Encoder e;
     desc->encode(e);

@@ -1,6 +1,6 @@
 // Resolver::Host glue and metadata persistence glue for core::Node:
-// homed-descriptor lookup, map page fetch (with its lane-0 double hop),
-// meta-log snapshot/journal and crash recovery.
+// homed-descriptor lookup, map page fetch, meta-log snapshot/journal and
+// crash recovery.
 #include <algorithm>
 #include <cassert>
 
@@ -33,29 +33,6 @@ std::optional<RegionDescriptor> Node::homed_descriptor(
 
 void Node::fetch_map_page(std::uint32_t index,
                           std::function<void(Result<Bytes>)> cb) {
-  // Map pages (and their release CM) are lane-0 state. A resolver walking
-  // from another lane double-hops: do the fetch on lane 0, deliver the
-  // callback back on the asking lane (where the resolve continues).
-  if (lanes_ > 1 && lane() != 0) {
-    const unsigned origin = lane();
-    const Micros dl = engine_().ambient_deadline();
-    const obs::TraceContext ctx = tracer_.current();
-    post_to_lane(0, [this, index, origin, dl, ctx,
-                        cb = std::move(cb)]() mutable {
-      RpcEngine::DeadlineScope dscope(engine_(), dl);
-      obs::ScopedTraceContext tscope(tracer_, ctx);
-      fetch_map_page(index, [this, origin, dl, ctx, cb = std::move(cb)](
-                                Result<Bytes> r) mutable {
-        post_to_lane(origin, [this, dl, ctx, cb = std::move(cb),
-                                 r = std::move(r)]() mutable {
-          RpcEngine::DeadlineScope dscope(engine_(), dl);
-          obs::ScopedTraceContext tscope(tracer_, ctx);
-          cb(std::move(r));
-        });
-      });
-    });
-    return;
-  }
   if (map_ != nullptr) {
     cb(map_store_->read_page(index));
     return;
@@ -69,7 +46,7 @@ void Node::fetch_map_page(std::uint32_t index,
       cb(s.error());
       return;
     }
-    const Bytes* data = storage_().get(addr);
+    const Bytes* data = storage_.get(addr);
     Bytes copy = data != nullptr ? *data : Bytes(kDefaultPageSize, 0);
     cm_for(ProtocolId::kRelease)->release(addr, LockMode::kRead, false);
     cb(std::move(copy));
@@ -79,7 +56,7 @@ void Node::fetch_map_page(std::uint32_t index,
 MetaLog::Snapshot Node::snapshot_state() {
   // Called from under a record_*/checkpoint (state_mu_ already held —
   // recursive). Page versions come from the journaled mirror, never from
-  // another lane's page-directory shard.
+  // the executor-owned page directory.
   std::lock_guard lk(state_mu_);
   MetaLog::Snapshot snap;
   snap.granted_bytes = granted_bytes_;
@@ -90,7 +67,7 @@ MetaLog::Snapshot Node::snapshot_state() {
 }
 
 void Node::journal_page(const GlobalAddress& page) {
-  const auto* info = pages_().find(page);
+  const auto* info = pages_.find(page);
   const Version v = info != nullptr ? info->version : 0;
   {
     std::lock_guard lk(state_mu_);
@@ -165,9 +142,9 @@ void Node::recover_meta() {
   if (disk_ == nullptr) return;
   MetaLog::Snapshot snap = meta_.recover();
 
-  // Install the recovered state. Runs from start() before any traffic, so
-  // the per-lane shards can be written from here; the lock still brackets
-  // it for the benefit of restarted-while-cluster-lives scenarios.
+  // Install the recovered state. Runs from start() before any traffic; the
+  // lock still brackets it for the benefit of restarted-while-cluster-lives
+  // scenarios.
   std::lock_guard lk(state_mu_);
   granted_bytes_ = snap.granted_bytes;
   pool_ = std::move(snap.pool);
@@ -177,17 +154,7 @@ void Node::recover_meta() {
   }
   journaled_pages_ = snap.page_versions;
   for (const auto& [p, v] : snap.page_versions) {
-    // Each recovered page lands in the shard of the lane that owns its
-    // region, keyed exactly like live routing (map region -> lane 0).
-    unsigned l = 0;
-    if (!AddressRange{kMapRegionBase, kMapRegionSize}.contains(p)) {
-      auto it = homed_regions_.upper_bound(p);
-      if (it != homed_regions_.begin() &&
-          std::prev(it)->second.range.contains(p)) {
-        l = region_lane(std::prev(it)->second.range.base);
-      }
-    }
-    auto& info = pages_v_[l]->ensure(p);
+    auto& info = pages_.ensure(p);
     info.homed_locally = true;
     info.home = config_.id;
     info.owner = config_.id;

@@ -37,7 +37,6 @@ void Node::on_migrate_req(const Message& m) {
   const GlobalAddress base = d.addr();
   const NodeId new_home = d.u32();
 
-  if (hop_home(m, base)) return;  // packaging reads the region lane's pages
   RegionDescriptor desc;
   {
     std::lock_guard<std::recursive_mutex> g(state_mu_);
@@ -58,7 +57,7 @@ void Node::on_migrate_req(const Message& m) {
   const std::uint32_t psz = desc.attrs.page_size;
   for (GlobalAddress p = desc.range.base; p < desc.range.end();
        p = p.plus(psz)) {
-    if (auto* info = pages_().find(p); info != nullptr && info->locked()) {
+    if (auto* info = pages_.find(p); info != nullptr && info->locked()) {
       respond(m, MsgType::kMigrateResp,
               status_payload(ErrorCode::kConflict));
       return;
@@ -76,11 +75,11 @@ void Node::on_migrate_req(const Message& m) {
   std::vector<GlobalAddress> page_list;
   for (GlobalAddress p = desc.range.base; p < desc.range.end();
        p = p.plus(psz)) {
-    if (pages_().find(p) != nullptr) page_list.push_back(p);
+    if (pages_.find(p) != nullptr) page_list.push_back(p);
   }
   e.u32(static_cast<std::uint32_t>(page_list.size()));
   for (const auto& p : page_list) {
-    const auto* info = pages_().find(p);
+    const auto* info = pages_.find(p);
     e.addr(p);
     e.u64(info->version);
     e.u32(info->owner == config_.id ? new_home : info->owner);
@@ -89,12 +88,12 @@ void Node::on_migrate_req(const Message& m) {
     e.u32(static_cast<std::uint32_t>(sharers.size()));
     for (NodeId s : sharers) e.u32(s);
     const bool valid_here = info->state != PageState::kInvalid;
-    const Bytes* data = valid_here ? storage_().get(p) : nullptr;
+    const Bytes* data = valid_here ? storage_.get(p) : nullptr;
     e.boolean(data != nullptr);
     if (data != nullptr) e.bytes(*data);
   }
 
-  engine_().call({new_home}, MsgType::kMigrateData, std::move(e).take(),
+  engine_.call({new_home}, MsgType::kMigrateData, std::move(e).take(),
             [this, m, base, new_home](bool ok, Decoder& resp) {
               if (!ok || from_wire(resp.u8()) != ErrorCode::kOk) {
                 respond(m, MsgType::kMigrateResp,
@@ -103,8 +102,6 @@ void Node::on_migrate_req(const Message& m) {
               }
               // Hand-off complete: drop authority, keep a fresh cache
               // entry pointing at the new home, release local page state.
-              // Runs on the same lane the request did (engine callbacks
-              // fire on the issuing lane), so page state is ours to drop.
               std::unique_lock<std::recursive_mutex> g(state_mu_);
               auto it2 = homed_regions_.find(base);
               if (it2 != homed_regions_.end()) {
@@ -115,8 +112,8 @@ void Node::on_migrate_req(const Message& m) {
                 const std::uint32_t psz2 = moved.attrs.page_size;
                 for (GlobalAddress p = moved.range.base;
                      p < moved.range.end(); p = p.plus(psz2)) {
-                  storage_().erase(p);
-                  pages_().erase(p);
+                  storage_.erase(p);
+                  pages_.erase(p);
                 }
                 moved.home_nodes.erase(
                     std::remove(moved.home_nodes.begin(),
@@ -132,7 +129,7 @@ void Node::on_migrate_req(const Message& m) {
                 map_req.u32(
                     static_cast<std::uint32_t>(moved.home_nodes.size()));
                 for (NodeId h : moved.home_nodes) map_req.u32(h);
-                engine_().send_reliable(config_.genesis, MsgType::kMapMutateReq,
+                engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
                               std::move(map_req).take());
                 publish_hint(moved.range, /*retract=*/true);
               }
@@ -148,15 +145,6 @@ void Node::on_migrate_data(const Message& m) {
     respond(m, MsgType::kMigrateDataResp,
             status_payload(ErrorCode::kBadArgument));
     return;
-  }
-  // The region is not homed here yet, so hop_home cannot route this; the
-  // incoming descriptor says which lane will own it.
-  if (lanes_ > 1) {
-    const unsigned target = region_lane(desc.range.base);
-    if (target != lane()) {
-      post_to_lane(target, [this, mc = m] { on_migrate_data(mc); });
-      return;
-    }
   }
   {
     std::lock_guard<std::recursive_mutex> g(state_mu_);
@@ -179,7 +167,7 @@ void Node::on_migrate_data(const Message& m) {
     if (has_data) data = d.bytes();
     if (!d.ok()) break;
 
-    auto& info = pages_().ensure(p);
+    auto& info = pages_.ensure(p);
     info.homed_locally = true;
     info.home = config_.id;
     info.version = std::max(info.version, version);
@@ -215,7 +203,6 @@ void Node::on_replicate_to_req(const Message& m) {
   const GlobalAddress base = d.addr();
   const NodeId target = d.u32();
 
-  if (hop_home(m, base)) return;  // reads the region lane's pages
   const auto found = homed_descriptor(base);
   if (!found || found->range.base != base) {
     respond(m, MsgType::kReplicateToResp,
@@ -250,11 +237,11 @@ void Node::on_replicate_to_req(const Message& m) {
   };
   for (GlobalAddress p = desc.range.base; p < desc.range.end();
        p = p.plus(psz)) {
-    auto* info = pages_().find(p);
+    auto* info = pages_.find(p);
     if (info == nullptr || info->state == PageState::kInvalid) {
       continue;  // no current copy here (an exclusive owner holds it)
     }
-    const Bytes* data = storage_().get(p);
+    const Bytes* data = storage_.get(p);
     if (data == nullptr) continue;
     batch.addr(p);
     batch.u64(info->version);

@@ -170,7 +170,7 @@ void Node::reserve(std::uint64_t size, const RegionAttrs& raw_attrs,
   e.u64(chunk);
   // Acquire-side retry policy (attempt count, backoff, steering across the
   // manager set) lives in the engine.
-  engine_().call(managers(), MsgType::kSpaceReq, std::move(e).take(),
+  engine_.call(managers(), MsgType::kSpaceReq, std::move(e).take(),
             [this, aligned, attrs, cb = std::move(cb)](bool ok,
                                                        Decoder& d) mutable {
               if (!ok) {
@@ -222,7 +222,7 @@ void Node::finish_reserve(const AddressRange& range, const RegionAttrs& attrs,
   map_req.range(range);
   map_req.u32(1);
   map_req.u32(config_.id);
-  engine_().send_reliable(config_.genesis, MsgType::kMapMutateReq,
+  engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
                 std::move(map_req).take());
 
   publish_hint(range, /*retract=*/false);
@@ -243,35 +243,30 @@ void Node::unreserve(const GlobalAddress& base, StatusCb cb) {
       return;
     }
     if (desc.primary_home() == config_.id) {
-      // Page teardown touches the region lane's page directory and storage
-      // shard; hop there before releasing (no-op at lanes=1).
-      run_on_region_lane(desc.range.base, [this, desc, base,
-                                           cb = std::move(cb)]() mutable {
-        release_region_pages(desc, desc.range);
-        {
-          std::lock_guard<std::recursive_mutex> g(state_mu_);
-          homed_regions_.erase(base);
-          pool_.push_back(desc.range);  // reclaim into the local pool
-          meta_.record_region_erase(base);
-          meta_.record_pool(granted_bytes_, pool_);
-        }
-        regions_.invalidate(base);
-        Encoder map_req;
-        map_req.u8(2);  // erase
-        map_req.range(desc.range);
-        map_req.u32(0);
-        engine_().send_reliable(config_.genesis, MsgType::kMapMutateReq,
-                                std::move(map_req).take());
-        publish_hint(desc.range, /*retract=*/true);
-        cb(Status{});
-      });
+      release_region_pages(desc, desc.range);
+      {
+        std::lock_guard<std::recursive_mutex> g(state_mu_);
+        homed_regions_.erase(base);
+        pool_.push_back(desc.range);  // reclaim into the local pool
+        meta_.record_region_erase(base);
+        meta_.record_pool(granted_bytes_, pool_);
+      }
+      regions_.invalidate(base);
+      Encoder map_req;
+      map_req.u8(2);  // erase
+      map_req.range(desc.range);
+      map_req.u32(0);
+      engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
+                            std::move(map_req).take());
+      publish_hint(desc.range, /*retract=*/true);
+      cb(Status{});
       return;
     }
     // Remote home: release-type semantics — accept now, deliver reliably
     // in the background (Section 3.5).
     Encoder e;
     e.addr(base);
-    engine_().send_reliable(desc.primary_home(), MsgType::kUnreserveReq,
+    engine_.send_reliable(desc.primary_home(), MsgType::kUnreserveReq,
                   std::move(e).take());
     regions_.invalidate(base);
     cb(Status{});
@@ -303,25 +298,21 @@ void Node::allocate(const AddressRange& range, StatusCb cb) {
       return;
     }
     if (desc.primary_home() == config_.id) {
-      // Page materialisation fills the region lane's shard; hop first.
-      run_on_region_lane(desc.range.base, [this, desc, range,
-                                           cb = std::move(cb)]() mutable {
-        materialize_region_pages(desc, range);
-        {
-          std::lock_guard<std::recursive_mutex> g(state_mu_);
-          auto it = homed_regions_.find(desc.range.base);
-          if (it != homed_regions_.end()) {
-            it->second.allocated = true;
-            meta_.record_region(it->second);
-          }
+      materialize_region_pages(desc, range);
+      {
+        std::lock_guard<std::recursive_mutex> g(state_mu_);
+        auto it = homed_regions_.find(desc.range.base);
+        if (it != homed_regions_.end()) {
+          it->second.allocated = true;
+          meta_.record_region(it->second);
         }
-        cb(Status{});
-      });
+      }
+      cb(Status{});
       return;
     }
     Encoder e;
     e.range(range);
-    engine_().call(desc.home_nodes, MsgType::kAllocReq, std::move(e).take(),
+    engine_.call(desc.home_nodes, MsgType::kAllocReq, std::move(e).take(),
               [this, base = desc.range.base, cb = std::move(cb)](
                   bool ok, Decoder& d) mutable {
                 if (!ok) {
@@ -355,16 +346,13 @@ void Node::deallocate(const AddressRange& range, StatusCb cb) {
       return;
     }
     if (desc.primary_home() == config_.id) {
-      run_on_region_lane(desc.range.base,
-                         [this, desc, range, cb = std::move(cb)]() mutable {
-                           release_region_pages(desc, range);
-                           cb(Status{});
-                         });
+      release_region_pages(desc, range);
+      cb(Status{});
       return;
     }
     Encoder e;
     e.range(range);
-    engine_().send_reliable(desc.primary_home(), MsgType::kFreeReq,
+    engine_.send_reliable(desc.primary_home(), MsgType::kFreeReq,
                   std::move(e).take());
     cb(Status{});
   });
@@ -409,12 +397,7 @@ void Node::lock(const AddressRange& range, LockMode mode, LockCb cb) {
       return;
     }
     if (desc.allocated) {
-      // The whole acquisition (prefetch, ordered holds, CM state) runs on
-      // the region's owning lane; the grant callback fires there too.
-      run_on_region_lane(desc.range.base, [this, desc, range, mode,
-                                           cb = std::move(cb)]() mutable {
-        start_lock_op(desc, range, mode, std::move(cb));
-      });
+      start_lock_op(desc, range, mode, std::move(cb));
       return;
     }
     // The cached descriptor may predate allocation; fetch a fresh copy
@@ -423,7 +406,7 @@ void Node::lock(const AddressRange& range, LockMode mode, LockCb cb) {
     regions_.invalidate(desc.range.base);
     Encoder e;
     e.addr(range.base);
-    engine_().call(desc.home_nodes, MsgType::kDescLookupReq, std::move(e).take(),
+    engine_.call(desc.home_nodes, MsgType::kDescLookupReq, std::move(e).take(),
               [this, range, mode, cb = std::move(cb)](bool ok,
                                                       Decoder& d) mutable {
                 if (!ok) {
@@ -444,11 +427,7 @@ void Node::lock(const AddressRange& range, LockMode mode, LockCb cb) {
                   cb(ErrorCode::kNotAllocated);
                   return;
                 }
-                run_on_region_lane(
-                    fresh.range.base,
-                    [this, fresh, range, mode, cb = std::move(cb)]() mutable {
-                      start_lock_op(fresh, range, mode, std::move(cb));
-                    });
+                start_lock_op(fresh, range, mode, std::move(cb));
               });
   });
 }
@@ -513,17 +492,14 @@ void Node::lock_prefetch_pump(const std::shared_ptr<LockOp>& op) {
 
 void Node::lock_next_page(std::shared_ptr<LockOp> op) {
   if (op->next == op->pages.size()) {
-    // Lane-strided ids: id % lanes_ recovers the owning lane, which is how
-    // unlock/read/write route back to this lock's shard.
-    const std::uint64_t id = next_lock_ids_[lane()];
-    next_lock_ids_[lane()] += lanes_;
+    const std::uint64_t id = next_lock_id_++;
     ActiveLock al;
     al.ctx = LockContext{id, op->range, op->mode};
     al.protocol = op->desc.attrs.protocol;
     al.pages = op->pages;
     al.page_size = op->desc.attrs.page_size;
-    for (const auto& p : al.pages) storage_().pin(p);
-    active_locks_().emplace(id, std::move(al));
+    for (const auto& p : al.pages) storage_.pin(p);
+    active_locks_.emplace(id, std::move(al));
     ins_.locks_granted->inc();
     op->cb(LockContext{id, op->range, op->mode});
     return;
@@ -578,22 +554,15 @@ void Node::lock_next_page(std::shared_ptr<LockOp> op) {
 }
 
 void Node::unlock(const LockContext& ctx) {
-  // Release must run on the lane that granted (its CM and page shard own
-  // the hold state); the strided id encodes that lane.
-  const unsigned target = lock_lane(ctx);
-  if (target != lane()) {
-    post_to_lane(target, [this, ctx] { unlock(ctx); });
-    return;
-  }
-  auto it = active_locks_().find(ctx.id);
-  if (it == active_locks_().end()) return;
+  auto it = active_locks_.find(ctx.id);
+  if (it == active_locks_.end()) return;
   ActiveLock al = std::move(it->second);
-  active_locks_().erase(it);
+  active_locks_.erase(it);
   auto* cm = cm_for(al.protocol);
   for (const auto& p : al.pages) {
-    storage_().unpin(p);
-    if (pages_().ensure(p).homed_locally && al.dirty.contains(p)) {
-      (void)storage_().flush(p);
+    storage_.unpin(p);
+    if (pages_.ensure(p).homed_locally && al.dirty.contains(p)) {
+      (void)storage_.flush(p);
       journal_page(p);
     }
     if (cm != nullptr) cm->release(p, al.ctx.mode, al.dirty.contains(p));
@@ -602,13 +571,8 @@ void Node::unlock(const LockContext& ctx) {
 
 Result<Bytes> Node::read(const LockContext& ctx, std::uint64_t offset,
                          std::uint64_t len) {
-  // Synchronous data access indexes the lock's owning lane directly: in the
-  // sim every lane shares one OS thread, and live TCP clients route
-  // read/write onto the lock's lane before calling in.
-  auto& locks = active_locks_v_[lock_lane(ctx)];
-  storage::StorageHierarchy& st = *storages_[lock_lane(ctx)];
-  auto it = locks.find(ctx.id);
-  if (it == locks.end()) return ErrorCode::kBadLock;
+  auto it = active_locks_.find(ctx.id);
+  if (it == active_locks_.end()) return ErrorCode::kBadLock;
   const ActiveLock& al = it->second;
   if (offset + len > al.ctx.range.size) return ErrorCode::kBadArgument;
   ins_.reads->inc();
@@ -625,7 +589,7 @@ Result<Bytes> Node::read(const LockContext& ctx, std::uint64_t offset,
     const std::uint64_t in_page = page.distance_to(at);
     const std::uint64_t chunk = std::min<std::uint64_t>(len - done,
                                                         psz - in_page);
-    const Bytes* data = st.get(page);
+    const Bytes* data = storage_.get(page);
     if (data == nullptr || data->size() < in_page + chunk) {
       tracer_.end_span(span);
       return ErrorCode::kInternal;  // locked pages must be resident
@@ -641,10 +605,8 @@ Result<Bytes> Node::read(const LockContext& ctx, std::uint64_t offset,
 
 Status Node::write(const LockContext& ctx, std::uint64_t offset,
                    std::span<const std::uint8_t> data) {
-  auto& locks = active_locks_v_[lock_lane(ctx)];
-  storage::StorageHierarchy& st = *storages_[lock_lane(ctx)];
-  auto it = locks.find(ctx.id);
-  if (it == locks.end()) return ErrorCode::kBadLock;
+  auto it = active_locks_.find(ctx.id);
+  if (it == active_locks_.end()) return ErrorCode::kBadLock;
   ActiveLock& al = it->second;
   if (!is_write(al.ctx.mode)) return ErrorCode::kBadLock;
   if (offset + data.size() > al.ctx.range.size) return ErrorCode::kBadArgument;
@@ -661,7 +623,7 @@ Status Node::write(const LockContext& ctx, std::uint64_t offset,
     const std::uint64_t in_page = page.distance_to(at);
     const std::uint64_t chunk =
         std::min<std::uint64_t>(data.size() - done, psz - in_page);
-    Bytes* stored = st.get_mutable(page);
+    Bytes* stored = storage_.get_mutable(page);
     if (stored == nullptr || stored->size() < in_page + chunk) {
       tracer_.end_span(span);
       return ErrorCode::kInternal;
@@ -678,7 +640,7 @@ Status Node::write(const LockContext& ctx, std::uint64_t offset,
 
 // The grant callbacks below are called from inside the protocol's grant
 // loop (CREW's try_grant_local), so the access and the release run as a
-// fresh job on the lock's lane rather than re-entering the CM from there.
+// freshly posted job rather than re-entering the CM from there.
 
 void Node::get(const AddressRange& range, BytesCb cb) {
   lock(range, LockMode::kRead,
@@ -688,7 +650,7 @@ void Node::get(const AddressRange& range, BytesCb cb) {
            return;
          }
          const LockContext ctx = r.value();
-         post_to_lane(lock_lane(ctx), [this, ctx, cb = std::move(cb)] {
+         transport_.post([this, ctx, cb = std::move(cb)] {
            Result<Bytes> out = read(ctx, 0, ctx.range.size);
            unlock(ctx);
            cb(std::move(out));
@@ -705,8 +667,8 @@ void Node::put(const AddressRange& range, Bytes data, StatusCb cb) {
            return;
          }
          const LockContext ctx = r.value();
-         post_to_lane(lock_lane(ctx), [this, ctx, data = std::move(data),
-                                       cb = std::move(cb)] {
+         transport_.post([this, ctx, data = std::move(data),
+                          cb = std::move(cb)] {
            const Status s = write(ctx, 0, data);
            unlock(ctx);
            cb(s);

@@ -52,7 +52,7 @@ void Node::getattr(const GlobalAddress& base, AttrCb cb) {
     }
     Encoder e;
     e.addr(base);
-    engine_().call(desc.home_nodes, MsgType::kGetAttrReq, std::move(e).take(),
+    engine_.call(desc.home_nodes, MsgType::kGetAttrReq, std::move(e).take(),
               [cb = std::move(cb)](bool ok, Decoder& d) mutable {
                 if (!ok) {
                   cb(ErrorCode::kUnreachable);
@@ -81,7 +81,7 @@ void Node::setattr(const GlobalAddress& base, const RegionAttrs& attrs,
     e.addr(base);
     attrs.encode(e);
     e.u32(config_.principal);
-    engine_().call(desc.home_nodes, MsgType::kSetAttrReq, std::move(e).take(),
+    engine_.call(desc.home_nodes, MsgType::kSetAttrReq, std::move(e).take(),
               [this, base, cb = std::move(cb)](bool ok, Decoder& d) mutable {
                 if (!ok) {
                   cb(ErrorCode::kUnreachable);
@@ -104,7 +104,7 @@ void Node::locate(const GlobalAddress& addr, LocateCb cb) {
     const RegionDescriptor desc = r.value();
     Encoder e;
     e.addr(addr);
-    engine_().call(desc.home_nodes, MsgType::kLocateReq, std::move(e).take(),
+    engine_.call(desc.home_nodes, MsgType::kLocateReq, std::move(e).take(),
               [cb = std::move(cb)](bool ok, Decoder& d) mutable {
                 if (!ok) {
                   cb(ErrorCode::kUnreachable);
@@ -144,7 +144,7 @@ void Node::migrate(const GlobalAddress& base, NodeId new_home, StatusCb cb) {
     Encoder e;
     e.addr(base);
     e.u32(new_home);
-    engine_().call(desc.home_nodes, MsgType::kMigrateReq, std::move(e).take(),
+    engine_.call(desc.home_nodes, MsgType::kMigrateReq, std::move(e).take(),
               [this, base, cb = std::move(cb)](bool ok, Decoder& d) mutable {
                 if (!ok) {
                   cb(ErrorCode::kUnreachable);
@@ -168,7 +168,7 @@ void Node::replicate_to(const GlobalAddress& base, NodeId target,
     Encoder e;
     e.addr(base);
     e.u32(target);
-    engine_().call(r.value().home_nodes, MsgType::kReplicateToReq,
+    engine_.call(r.value().home_nodes, MsgType::kReplicateToReq,
               std::move(e).take(),
               [cb = std::move(cb)](bool ok, Decoder& d) mutable {
                 if (!ok) {

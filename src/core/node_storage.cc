@@ -24,7 +24,7 @@ bool Node::evict_hook(const GlobalAddress& page, const Bytes& data) {
   // "it must invoke the consistency protocol associated with the page to
   // update the list of sharers, push any dirty data to remote nodes"
   // (Section 3.4).
-  auto* info = pages_().find(page);
+  auto* info = pages_.find(page);
   if (info == nullptr) return true;  // untracked page: free to drop
   // Map region pages use the release protocol.
   ProtocolId protocol = ProtocolId::kRelease;
@@ -36,7 +36,7 @@ bool Node::evict_hook(const GlobalAddress& page, const Bytes& data) {
   auto* cm = cm_for(protocol);
   if (cm == nullptr) return true;
   const bool allowed = cm->on_evict(page);
-  if (allowed) pages_().erase(page);
+  if (allowed) pages_.erase(page);
   return allowed;
 }
 
@@ -45,10 +45,10 @@ void Node::materialize_region_pages(const RegionDescriptor& desc,
   const std::uint32_t psz = desc.attrs.page_size;
   for (GlobalAddress p = range.base.page_floor(psz); p < range.end();
        p = p.plus(psz)) {
-    auto& info = pages_().ensure(p);
+    auto& info = pages_.ensure(p);
     info.homed_locally = true;
     info.home = config_.id;
-    if (storage_().get(p) == nullptr) {
+    if (storage_.get(p) == nullptr) {
       info.owner = config_.id;
       info.state = PageState::kShared;
       info.sharers.insert(config_.id);
@@ -61,24 +61,22 @@ void Node::materialize_region_pages(const RegionDescriptor& desc,
 void Node::release_region_pages(const RegionDescriptor& desc,
                                 const AddressRange& range) {
   const std::uint32_t psz = desc.attrs.page_size;
-  const std::uint64_t key = region_key(desc.range.base);
   for (GlobalAddress p = range.base.page_floor(psz); p < range.end();
        p = p.plus(psz)) {
-    if (auto* info = pages_().find(p)) {
+    if (auto* info = pages_.find(p)) {
       for (NodeId sharer : info->sharers) {
         if (sharer == config_.id) continue;
         Message m;
         m.type = MsgType::kReplicaDrop;
         m.dst = sharer;
-        m.route_key = key;
         Encoder e;
         e.addr(p);
         m.payload = std::move(e).take();
         send_msg(std::move(m));
       }
     }
-    storage_().erase(p);
-    pages_().erase(p);
+    storage_.erase(p);
+    pages_.erase(p);
   }
   std::lock_guard lk(state_mu_);
   for (GlobalAddress p = range.base.page_floor(psz); p < range.end();
@@ -94,7 +92,7 @@ void Node::release_region_pages(const RegionDescriptor& desc,
 Bytes Node::LocalMapStore::read_page(std::uint32_t index) {
   const GlobalAddress addr = kMapRegionBase.plus(
       static_cast<std::uint64_t>(index) * kDefaultPageSize);
-  if (const Bytes* data = node_.storage_().get(addr)) return *data;
+  if (const Bytes* data = node_.storage_.get(addr)) return *data;
   return Bytes(kDefaultPageSize, 0);
 }
 
@@ -108,7 +106,7 @@ void Node::LocalMapStore::write_page(std::uint32_t index, const Bytes& data) {
     granted = s.ok();
   });
   assert(granted);
-  auto& info = node_.pages_().ensure(addr);
+  auto& info = node_.pages_.ensure(addr);
   info.homed_locally = true;
   info.home = node_.config_.id;
   if (info.owner == kNoNode) info.owner = node_.config_.id;

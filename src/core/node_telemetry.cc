@@ -57,7 +57,7 @@ void Node::scrape_stats(NodeId peer, std::uint8_t flags, ScrapeCb cb) {
   // it is about to export (the engine stamps the ambient context on every
   // attempt it sends).
   obs::ScopedTraceContext untraced(tracer_, {});
-  engine_().call({peer}, MsgType::kStatsReq, std::move(e).take(),
+  engine_.call({peer}, MsgType::kStatsReq, std::move(e).take(),
                [cb = std::move(cb)](bool ok, Decoder& d) {
                  if (!ok) {
                    cb(ErrorCode::kTimeout);
@@ -115,7 +115,7 @@ void Node::sample_tick() {
 Node::OpWatch Node::watch_op() {
   OpWatch w;
   w.t0 = now();
-  w.deadline = engine_().ambient_deadline();
+  w.deadline = engine_.ambient_deadline();
   w.attempts0 = ins_.rpc_attempts->value();
   w.steered0 = ins_.rpc_steered->value();
   return w;
@@ -148,9 +148,9 @@ void Node::maybe_record_slow_op(const char* op, const OpWatch& w,
   d.deadline = w.deadline;
   d.rpc_attempts = ins_.rpc_attempts->value() - w.attempts0;
   d.rpc_steered = ins_.rpc_steered->value() - w.steered0;
-  d.depth_protocol = admission_().depth(OpClass::kProtocol);
-  d.depth_client = admission_().depth(OpClass::kClient);
-  d.depth_replication = admission_().depth(OpClass::kReplication);
+  d.depth_protocol = admission_.depth(OpClass::kProtocol);
+  d.depth_client = admission_.depth(OpClass::kClient);
+  d.depth_replication = admission_.depth(OpClass::kReplication);
   if (trace_id != 0) {
     for (auto& s : tracer_.finished_spans()) {
       if (s.trace_id == trace_id) d.spans.push_back(std::move(s));

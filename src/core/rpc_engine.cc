@@ -113,8 +113,7 @@ void RpcEngine::start_attempt(std::uint64_t call_id) {
   ++c.attempts_made;
   --c.attempts_left;
 
-  const RpcId rid = next_rpc_id_;
-  next_rpc_id_ += rpc_id_step_;
+  const RpcId rid = next_rpc_id_++;
   rpc_to_call_[rid] = call_id;
   c.issued.push_back(rid);
 

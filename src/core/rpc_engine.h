@@ -174,16 +174,6 @@ class RpcEngine {
   /// The deadline calls inherit when CallOptions.deadline == 0.
   [[nodiscard]] Micros ambient_deadline() const { return ambient_deadline_; }
 
-  /// Lane-strided rpc-id minting: ids run first, first+step, first+2*step…
-  /// A multi-lane node hands lane L's engine (first = L + lanes, step =
-  /// lanes) so that rpc_id % lanes recovers the issuing lane — transports
-  /// demux responses onto the right lane without shared state. The default
-  /// (1, 1) is the legacy single-lane sequence. Call before any traffic.
-  void configure_ids(RpcId first, RpcId step) {
-    next_rpc_id_ = first;
-    rpc_id_step_ = step == 0 ? 1 : step;
-  }
-
   /// RAII ambient-deadline window. A server opens one around request
   /// handling (from the envelope's deadline field) so nested RPCs inherit
   /// the remaining budget; the engine itself opens one around each call's
@@ -261,7 +251,6 @@ class RpcEngine {
   std::unordered_map<RpcId, std::uint64_t> rpc_to_call_;
   std::uint64_t next_call_id_ = 1;
   RpcId next_rpc_id_ = 1;
-  RpcId rpc_id_step_ = 1;
 
   std::map<std::uint64_t, ReliableSend> reliable_;
   std::uint64_t next_reliable_id_ = 1;

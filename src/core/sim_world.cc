@@ -44,7 +44,6 @@ NodeConfig make_config(const SimWorldOptions& opts, NodeId id,
   cfg.free_space_ttl = opts.free_space_ttl;
   cfg.map_rebalance_every = opts.map_rebalance_every;
   cfg.compaction_pages_per_tick = opts.compaction_pages_per_tick;
-  cfg.lanes = opts.lanes;
   cfg.seed = opts.seed;
   return cfg;
 }

@@ -63,10 +63,6 @@ struct SimWorldOptions {
   std::uint32_t map_rebalance_every = 0;
   /// Checkpoint-tick compaction budget (0 = unbounded).
   std::size_t compaction_pages_per_tick = 0;
-  /// Execution lanes per node (docs/architecture.md, threading model).
-  /// Under the simulator lanes are logical tags on the single event loop;
-  /// 1 (the default) is byte-for-byte the legacy single-lane node.
-  unsigned lanes = 1;
   std::uint64_t seed = 1;
 };
 

@@ -9,7 +9,7 @@ TcpWorld::TcpWorld(TcpWorldOptions opts) : bus_(opts.base_port) {
   nodes_.reserve(opts.nodes);
   for (std::size_t i = 0; i < opts.nodes; ++i) {
     const auto id = static_cast<NodeId>(i);
-    transports_.push_back(&bus_.add_node(id, opts.lanes));
+    transports_.push_back(&bus_.add_node(id));
   }
   for (std::size_t i = 0; i < opts.nodes; ++i) {
     const auto id = static_cast<NodeId>(i);
@@ -41,7 +41,6 @@ TcpWorld::TcpWorld(TcpWorldOptions opts) : bus_(opts.base_port) {
     cfg.flight_recorder_capacity = opts.flight_recorder_capacity;
     cfg.stats_sample_interval = opts.stats_sample_interval;
     cfg.stats_series_capacity = opts.stats_series_capacity;
-    cfg.lanes = opts.lanes;
     cfg.seed = opts.seed;
     nodes_.push_back(std::make_unique<Node>(std::move(cfg), *transports_[i]));
   }

@@ -51,9 +51,8 @@ struct TcpWorldOptions {
   std::size_t flight_recorder_capacity = 32;
   Micros stats_sample_interval = 0;
   std::size_t stats_series_capacity = 64;
-  /// Executor lanes per node (docs/architecture.md, threading model). Each
-  /// lane is its own executor thread; 1 keeps the legacy single-executor
-  /// node.
+  /// Read by nothing: perfbench/khzbench.cc assigns it, and that
+  /// assignment is its only reason to exist. Every node runs one executor.
   unsigned lanes = 1;
   std::uint64_t seed = 1;
 };
@@ -120,7 +119,7 @@ class TcpWorld {
 /// completion callback fires. get/put make a single such visit: the lock,
 /// the access and the unlock all run on the node (Node::get/put), so the
 /// lock is held only across the access. Not callable from the node's own
-/// executor threads (the posted job could never run).
+/// executor thread (the posted job could never run).
 class TcpClient final : public SyncClient {
  public:
   TcpClient(TcpWorld& world, NodeId node) : world_(world), node_(node) {}
@@ -154,21 +153,20 @@ class TcpClient final : public SyncClient {
         });
   }
   void unlock(const consistency::LockContext& ctx) override {
-    world_.transport(node_).run_on_lane(node().lock_lane(ctx),
-                                        [&] { node().unlock(ctx); });
+    world_.transport(node_).run_on_executor([&] { node().unlock(ctx); });
   }
   Result<Bytes> read(const consistency::LockContext& ctx,
                      std::uint64_t offset, std::uint64_t len) override {
     std::optional<Result<Bytes>> out;
-    world_.transport(node_).run_on_lane(
-        node().lock_lane(ctx), [&] { out = node().read(ctx, offset, len); });
+    world_.transport(node_).run_on_executor(
+        [&] { out = node().read(ctx, offset, len); });
     return std::move(out).value();
   }
   Status write(const consistency::LockContext& ctx, std::uint64_t offset,
                std::span<const std::uint8_t> data) override {
     std::optional<Status> out;
-    world_.transport(node_).run_on_lane(
-        node().lock_lane(ctx), [&] { out = node().write(ctx, offset, data); });
+    world_.transport(node_).run_on_executor(
+        [&] { out = node().write(ctx, offset, data); });
     return out.value();
   }
   Status put(const AddressRange& range,
@@ -212,7 +210,7 @@ class TcpClient final : public SyncClient {
   R wait(Start start) {
     auto state = std::make_shared<WaitState<R>>();
     world_.transport(node_).post(
-        0, [state, n = &node(), start = std::move(start)]() mutable {
+        [state, n = &node(), start = std::move(start)]() mutable {
           start(*n, [state](R r) {
             std::lock_guard lk(state->mu);
             state->result = std::move(r);

@@ -114,9 +114,8 @@ class ClusterState {
   bool apply_locked(const GlobalAddress& base, std::uint64_t size, NodeId node,
                     Micros stamp, bool retracted);
 
-  /// Hint state is read/written from every execution lane of the manager
-  /// node (publishes arrive region-routed; queries arrive control-routed),
-  /// so it synchronizes internally.
+  /// Hint state synchronizes internally, so threads other than the node's
+  /// executor (stats readers, tests) may query it safely.
   mutable std::mutex mu_;
   std::map<GlobalAddress, Hint> hints_;  // keyed by region base
   std::map<NodeId, SpaceOffer> free_space_;

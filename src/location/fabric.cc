@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/lane.h"
 
 namespace khz::location {
 
@@ -16,11 +15,6 @@ Fabric::Fabric(Host& host, obs::MetricsRegistry& metrics, FabricConfig config)
       cluster_(),
       resolver_(*this, metrics) {
   cluster_.set_free_space_ttl(config_.free_space_ttl);
-  const unsigned lanes = std::max(1u, config_.lanes);
-  access_.reserve(lanes);
-  for (unsigned i = 0; i < lanes; ++i) {
-    access_.push_back(std::make_unique<AccessShard>());
-  }
   regions_.bind_metrics(metrics);
   ins_.resolves = &metrics.counter("location.resolves");
   ins_.hits_home = &metrics.counter("location.hits.home");
@@ -197,19 +191,17 @@ Bytes Fabric::handle_hint_sync(NodeId from, Decoder& d) {
 
 void Fabric::note_access(const GlobalAddress& base) {
   if (config_.refresh_interval == 0) return;
-  AccessShard& shard = *access_[current_lane() % access_.size()];
-  std::lock_guard lk(shard.mu);
-  ++shard.counts[base];
+  std::lock_guard lk(access_mu_);
+  ++access_counts_[base];
 }
 
 void Fabric::refresh_tick() {
   refresh_timer_ = 0;
   if (!running_) return;
   std::map<GlobalAddress, std::uint32_t> hot;
-  for (auto& shard : access_) {
-    std::lock_guard lk(shard->mu);
-    for (const auto& [base, count] : shard->counts) hot[base] += count;
-    shard->counts.clear();
+  {
+    std::lock_guard lk(access_mu_);
+    hot.swap(access_counts_);
   }
   const Micros now = host_.now();
   for (const auto& [base, count] : hot) {

@@ -11,7 +11,7 @@
 //    hint published to one manager reaches the others without waiting for
 //    a client miss, and a failure-detector retraction propagates instead
 //    of resurrecting.
-//  * Proactive descriptor refresh: per-lane access counters find hot
+//  * Proactive descriptor refresh: access counters find hot
 //    regions; descriptors older than the age TTL are re-fetched from their
 //    cached homes before a client blocks on a stale one.
 //
@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -54,8 +53,6 @@ struct FabricConfig {
   /// Free-space offers older than this are ignored by placement
   /// (ClusterState::best_pool_node). 0 = offers never expire.
   Micros free_space_ttl = 0;
-  /// Execution lanes on the owning node; sizes the access-counter shards.
-  unsigned lanes = 1;
 };
 
 class Fabric final : public Resolver::Host {
@@ -171,13 +168,10 @@ class Fabric final : public Resolver::Host {
   ClusterState cluster_;
   Resolver resolver_;
 
-  /// Per-lane access-counter shards (lane-local in the common case; the
-  /// sweep aggregates across shards).
-  struct AccessShard {
-    std::mutex mu;
-    std::map<GlobalAddress, std::uint32_t> counts;
-  };
-  std::vector<std::unique_ptr<AccessShard>> access_;
+  /// Per-region access counts since the last refresh sweep. Locked:
+  /// note_access runs wherever a resolve does.
+  std::mutex access_mu_;
+  std::map<GlobalAddress, std::uint32_t> access_counts_;
 
   bool running_ = false;
   std::uint64_t sync_timer_ = 0;

@@ -71,9 +71,9 @@ class RegionDirectory {
   };
 
   std::size_t capacity_;
-  /// The descriptor cache is shared across a node's execution lanes (any
-  /// lane may resolve any address before hopping), so it synchronizes
-  /// internally. Short critical sections; never held across callbacks.
+  /// The descriptor cache synchronizes internally, so threads other than
+  /// the node's executor (stats readers, tests) may use it safely. Short
+  /// critical sections; never held across callbacks.
   mutable std::mutex mu_;
   std::map<GlobalAddress, Entry> cache_;  // keyed by region base
   std::list<GlobalAddress> lru_;          // front = most recent

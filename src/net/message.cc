@@ -100,7 +100,6 @@ Bytes Message::encode() const {
   e.u64(trace_id);
   e.u64(span_id);
   e.u64(deadline);
-  e.u64(route_key);
   e.bytes(payload);
   return std::move(e).take();
 }
@@ -115,7 +114,6 @@ Bytes Message::encode_framed() const {
   e.u64(trace_id);
   e.u64(span_id);
   e.u64(deadline);
-  e.u64(route_key);
   e.bytes(payload);
   Bytes out = std::move(e).take();
   const auto body_len = static_cast<std::uint32_t>(out.size() - 4);
@@ -134,7 +132,6 @@ bool Message::decode(std::span<const std::uint8_t> wire, Message& out) {
   out.trace_id = d.u64();
   out.span_id = d.u64();
   out.deadline = d.u64();
-  out.route_key = d.u64();
   out.payload = d.bytes();
   return d.at_end();
 }

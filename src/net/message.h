@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "common/lane.h"
 #include "common/serialize.h"
 #include "common/types.h"
 
@@ -141,17 +140,10 @@ struct Message {
   /// computing an answer nobody is waiting for, and so nested RPCs issued
   /// while handling this request inherit the remaining budget.
   std::uint64_t deadline = 0;
-  /// Lane routing key (docs/architecture.md, threading model): the region
-  /// base address the message concerns, or 0 for control-plane traffic.
-  /// The receiving transport demuxes the decoded frame directly onto
-  /// lane_of(route_key) so the I/O thread never touches node state. Node-
-  /// count independent: each receiver hashes the key against its own lane
-  /// count.
-  std::uint64_t route_key = 0;
   Bytes payload;
 
   [[nodiscard]] std::size_t wire_size() const {
-    return 2 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + payload.size();
+    return 2 + 4 + 4 + 8 + 8 + 8 + 8 + 4 + payload.size();
   }
 
   /// Flat wire encoding, used by the TCP transport.
@@ -168,17 +160,5 @@ struct Message {
 /// kPageBatchFetchResp does NOT: batch grants are one-way data-plane
 /// messages replayed through the protocol handlers.
 [[nodiscard]] bool is_response(MsgType t);
-
-/// Which lane of a `lanes`-lane node should run this message's handler.
-/// Responses follow the rpc_id (per-lane engines mint lane-strided ids, so
-/// id % lanes is the issuing lane); everything else follows the route_key;
-/// unkeyed traffic lands on lane 0.
-[[nodiscard]] inline unsigned target_lane(const Message& m, unsigned lanes) {
-  if (lanes <= 1) return 0;
-  if (m.rpc_id != 0 && is_response(m.type)) {
-    return static_cast<unsigned>(m.rpc_id % lanes);
-  }
-  return lane_of(m.route_key, lanes);
-}
 
 }  // namespace khz::net

@@ -13,16 +13,7 @@ void SimTransport::send(Message msg) {
 }
 
 std::uint64_t SimTransport::schedule(Micros delay, std::function<void()> fn) {
-  // Timers are lane-affine: a callback fires on the lane that scheduled it.
-  unsigned lane = current_lane();
-  if (lane >= lanes_) lane = 0;
-  return net_.schedule_timer(id_, lane, delay, std::move(fn));
-}
-
-std::uint64_t SimTransport::schedule_on(unsigned lane, Micros delay,
-                                        std::function<void()> fn) {
-  if (lane >= lanes_) lane = 0;
-  return net_.schedule_timer(id_, lane, delay, std::move(fn));
+  return net_.schedule_timer(id_, delay, std::move(fn));
 }
 
 void SimTransport::cancel(std::uint64_t timer_id) {
@@ -145,14 +136,12 @@ void SimNetwork::submit(Message msg) {
   queue_.push(std::move(ev));
 }
 
-std::uint64_t SimNetwork::schedule_timer(NodeId node, unsigned lane,
-                                         Micros delay,
+std::uint64_t SimNetwork::schedule_timer(NodeId node, Micros delay,
                                          std::function<void()> fn) {
   Event ev;
   ev.at = clock_.now() + delay;
   ev.seq = next_seq_++;
   ev.node = node;
-  ev.lane = lane;
   ev.fn = std::move(fn);
   ev.is_timer = true;
   ev.timer_id = next_timer_id_++;
@@ -192,7 +181,6 @@ void SimNetwork::dispatch(Event& ev) {
       if (ev.epoch != (epoch_it == crash_epoch_.end() ? 0 : epoch_it->second))
         return;
     }
-    LaneScope scope(ev.lane);
     ev.fn();
     return;
   }
@@ -209,9 +197,6 @@ void SimNetwork::dispatch(Event& ev) {
   }
   stats_.messages_delivered++;
   if (tap_) tap_(ev.at, ev.msg);
-  // Deliver on the destination's owning lane, computed against the
-  // receiver's own lane count (senders don't know it).
-  LaneScope scope(target_lane(ev.msg, it->second->lanes_));
   it->second->handler_(std::move(ev.msg));
 }
 

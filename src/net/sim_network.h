@@ -71,23 +71,13 @@ class SimTransport final : public Transport {
   void send(Message msg) override;
   void set_handler(Handler handler) override { handler_ = std::move(handler); }
   std::uint64_t schedule(Micros delay, std::function<void()> fn) override;
-  std::uint64_t schedule_on(unsigned lane, Micros delay,
-                            std::function<void()> fn) override;
   void cancel(std::uint64_t timer_id) override;
   [[nodiscard]] const Clock& clock() const override;
-  /// Lanes are logical under the simulator (one pump thread): events carry
-  /// a lane tag and dispatch inside a LaneScope, so node sharding behaves
-  /// exactly as it would across real lane threads — deterministically.
-  [[nodiscard]] unsigned lanes() const override { return lanes_; }
-  void configure_lanes(unsigned n) override {
-    lanes_ = n < 1 ? 1 : (n > kMaxLanes ? kMaxLanes : n);
-  }
 
  private:
   friend class SimNetwork;
   SimNetwork& net_;
   NodeId id_;
-  unsigned lanes_ = 1;
   Handler handler_;
 };
 
@@ -166,10 +156,6 @@ class SimNetwork {
     std::function<void()> fn;
     bool is_timer = false;
     std::uint64_t timer_id = 0;
-    /// Timer events carry the lane that scheduled them (LaneScope around
-    /// dispatch); message events compute target_lane() at delivery time
-    /// against the receiving endpoint's lane count.
-    unsigned lane = 0;
     int epoch = 0;  // node incarnation the timer belongs to
     /// Simulation-owned timer: exempt from node-down / crash-epoch
     /// suppression (fault-injection scripts).
@@ -182,7 +168,7 @@ class SimNetwork {
   };
 
   void submit(Message msg);
-  std::uint64_t schedule_timer(NodeId node, unsigned lane, Micros delay,
+  std::uint64_t schedule_timer(NodeId node, Micros delay,
                                std::function<void()> fn);
   [[nodiscard]] const LinkProfile& link(NodeId src, NodeId dst) const;
   [[nodiscard]] bool partitioned(NodeId a, NodeId b) const;

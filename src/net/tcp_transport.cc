@@ -40,21 +40,7 @@ TcpTransport::TcpTransport(TcpBus& bus, NodeId id, std::uint16_t port)
       id_(id),
       port_(port),
       send_queue_us_(&metrics_.histogram("tcp.send_queue_us")),
-      writev_frames_(&metrics_.histogram("tcp.writev_frames")) {
-  configure_lanes(1);
-}
-
-void TcpTransport::configure_lanes(unsigned n) {
-  if (running_.load()) return;  // executors already own the lane vector
-  lanes_n_ = n < 1 ? 1 : (n > kMaxLanes ? kMaxLanes : n);
-  lane_exec_.clear();
-  for (unsigned l = 0; l < lanes_n_; ++l) {
-    auto le = std::make_unique<LaneExec>();
-    // Strided ids: id % lanes == owning lane; 1, 2, 3, ... when lanes == 1.
-    le->next_timer_id = l + lanes_n_;
-    lane_exec_.push_back(std::move(le));
-  }
-}
+      writev_frames_(&metrics_.histogram("tcp.writev_frames")) {}
 
 TcpTransport::~TcpTransport() { stop(); }
 
@@ -65,11 +51,10 @@ void TcpTransport::set_handler(Handler handler) {
     handler_ = std::move(handler);
     backlog.swap(pre_handler_backlog_);
   }
-  // Replay anything that arrived before the handler existed, back onto the
-  // owning lanes so dispatch stays single-writer per lane.
+  // Replay anything that arrived before the handler existed, through the
+  // executor so dispatch stays single-writer.
   for (auto& m : backlog) {
-    const unsigned lane = target_lane(m, lanes_n_);
-    enqueue_on(lane, [this, m = std::move(m)]() mutable { dispatch(std::move(m)); });
+    post([this, m = std::move(m)]() mutable { dispatch(std::move(m)); });
   }
 }
 
@@ -116,9 +101,7 @@ void TcpTransport::start() {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
   }
   running_.store(true);
-  for (unsigned l = 0; l < lanes_n_; ++l) {
-    lane_exec_[l]->thr = std::thread([this, l] { executor_loop(l); });
-  }
+  exec_ = std::thread([this] { executor_loop(); });
   io_ = std::thread([this] { io_loop(); });
 }
 
@@ -144,10 +127,13 @@ void TcpTransport::stop() {
     ::close(epoll_fd_);
     epoll_fd_ = -1;
   }
-  for (auto& le : lane_exec_) le->cv.notify_all();
-  for (auto& le : lane_exec_) {
-    if (le->thr.joinable()) le->thr.join();
+  {
+    // Notify under the lock: the executor checks running_ under exec_mu_,
+    // so a notify between its check and its wait cannot be lost.
+    std::lock_guard lk(exec_mu_);
+    exec_cv_.notify_all();
   }
+  if (exec_.joinable()) exec_.join();
 }
 
 void TcpTransport::wake_io() {
@@ -257,11 +243,9 @@ void TcpTransport::inbound_ready(int fd, std::uint32_t events) {
     Message msg;
     if (Message::decode({conn.buf.data() + off + 4, frame_len}, msg)) {
       ++counters_.messages_received;
-      // Demux the decoded frame straight onto its owning lane: the I/O
-      // thread never runs node logic itself.
-      const unsigned lane = target_lane(msg, lanes_n_);
-      enqueue_on(lane,
-                 [this, m = std::move(msg)]() mutable { dispatch(std::move(m)); });
+      // Hand the decoded frame to the executor: the I/O thread never runs
+      // node logic itself.
+      post([this, m = std::move(msg)]() mutable { dispatch(std::move(m)); });
     } else {
       KHZ_WARN("tcp: node %u dropping undecodable frame", id_);
       ++counters_.frames_dropped;
@@ -497,72 +481,51 @@ void TcpTransport::send(Message msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane executors: serialized callbacks + timer heap, one thread per lane.
+// Executor: serialized callbacks + timer heap on one thread.
 // ---------------------------------------------------------------------------
 
-void TcpTransport::enqueue_on(unsigned lane, std::function<void()> fn) {
-  LaneExec& le = *lane_exec_[lane >= lanes_n_ ? 0 : lane];
+void TcpTransport::post(std::function<void()> fn) {
   {
-    std::lock_guard lk(le.mu);
-    le.work.push_back(std::move(fn));
+    std::lock_guard lk(exec_mu_);
+    work_.push_back(std::move(fn));
   }
-  le.cv.notify_one();
-}
-
-void TcpTransport::post(unsigned lane, std::function<void()> fn) {
-  // A direct enqueue rather than a zero-delay timer: cheaper, and FIFO with
-  // inbound messages already queued on the target lane.
-  enqueue_on(lane, std::move(fn));
+  exec_cv_.notify_one();
 }
 
 std::uint64_t TcpTransport::schedule(Micros delay, std::function<void()> fn) {
-  // Timers are lane-affine: the callback fires on the scheduling lane.
-  return schedule_on(current_lane(), delay, std::move(fn));
-}
-
-std::uint64_t TcpTransport::schedule_on(unsigned lane, Micros delay,
-                                        std::function<void()> fn) {
-  LaneExec& le = *lane_exec_[lane >= lanes_n_ ? 0 : lane];
-  std::lock_guard lk(le.mu);
+  std::lock_guard lk(exec_mu_);
   Timer t;
   t.fire_at = g_steady_clock.now() + delay;
-  const std::uint64_t id = le.next_timer_id;
-  le.next_timer_id += lanes_n_;
+  const std::uint64_t id = next_timer_id_++;
   t.id = id;
   t.fn = std::move(fn);
-  le.timers.push_back(std::move(t));
-  std::push_heap(le.timers.begin(), le.timers.end());
-  le.cv.notify_one();
-  // NOT le.timers.back().id: push_heap may have moved another timer there.
+  timers_.push_back(std::move(t));
+  std::push_heap(timers_.begin(), timers_.end());
+  exec_cv_.notify_one();
+  // NOT timers_.back().id: push_heap may have moved another timer there.
   return id;
 }
 
 void TcpTransport::cancel(std::uint64_t timer_id) {
-  // Strided ids make the owning lane recoverable from the id alone.
-  LaneExec& le = *lane_exec_[timer_id % lanes_n_];
-  std::lock_guard lk(le.mu);
-  for (auto& t : le.timers) {
+  std::lock_guard lk(exec_mu_);
+  for (auto& t : timers_) {
     if (t.id == timer_id && t.fn) {
       t.fn = nullptr;  // fires as a no-op if not compacted first
-      ++le.tombstones;
+      ++tombstones_;
     }
   }
   // Lazy compaction: once tombstones dominate, rebuild the heap without
   // them so long-running schedule/cancel loops don't leak entries.
-  if (le.tombstones * 2 > le.timers.size()) {
-    std::erase_if(le.timers, [](const Timer& t) { return !t.fn; });
-    std::make_heap(le.timers.begin(), le.timers.end());
-    le.tombstones = 0;
+  if (tombstones_ * 2 > timers_.size()) {
+    std::erase_if(timers_, [](const Timer& t) { return !t.fn; });
+    std::make_heap(timers_.begin(), timers_.end());
+    tombstones_ = 0;
   }
 }
 
 std::size_t TcpTransport::pending_timers() const {
-  std::size_t n = 0;
-  for (const auto& le : lane_exec_) {
-    std::lock_guard lk(le->mu);
-    n += le->timers.size();
-  }
-  return n;
+  std::lock_guard lk(exec_mu_);
+  return timers_.size();
 }
 
 TransportStats TcpTransport::stats() const {
@@ -574,20 +537,14 @@ TransportStats TcpTransport::stats() const {
 }
 
 void TcpTransport::run_on_executor(std::function<void()> fn) {
-  run_on_lane(0, std::move(fn));
-}
-
-void TcpTransport::run_on_lane(unsigned lane, std::function<void()> fn) {
-  if (lane >= lanes_n_) lane = 0;
-  LaneExec& le = *lane_exec_[lane];
-  if (le.thr.get_id() == std::this_thread::get_id()) {
-    fn();  // already on the target lane: blocking would self-deadlock
+  if (exec_.get_id() == std::this_thread::get_id()) {
+    fn();  // already on the executor: blocking would self-deadlock
     return;
   }
   std::mutex done_mu;
   std::condition_variable done_cv;
   bool done = false;
-  enqueue_on(lane, [&] {
+  post([&] {
     fn();
     std::lock_guard lk(done_mu);
     done = true;
@@ -597,42 +554,47 @@ void TcpTransport::run_on_lane(unsigned lane, std::function<void()> fn) {
   done_cv.wait(lk, [&] { return done; });
 }
 
-void TcpTransport::executor_loop(unsigned lane) {
+void TcpTransport::executor_loop() {
   // All node logic runs here; prefix log lines with the node id so the
   // interleaved output of a multi-node process stays attributable.
   set_thread_log_node(id_);
-  // The whole thread lifetime is one LaneScope: every callback it runs
-  // observes current_lane() == lane, so lane-owned shards resolve right.
-  LaneScope scope(lane);
-  LaneExec& le = *lane_exec_[lane];
+  // Inbound frames and posted jobs share work_. Serving it first whenever
+  // it is non-empty would hold back every due timer (RPC timeouts, CREW's
+  // zero-delay flush, self-sends, group commit, pings) for as long as a
+  // stream of jobs lasts, so a due timer and a queued job take turns.
+  bool timer_turn = false;
   while (true) {
     std::function<void()> job;
     {
-      std::unique_lock lk(le.mu);
+      std::unique_lock lk(exec_mu_);
       while (true) {
-        if (!running_.load() && le.work.empty()) return;
-        if (!le.work.empty()) {
-          job = std::move(le.work.front());
-          le.work.pop_front();
+        if (!running_.load() && work_.empty()) return;
+        const Micros now = timers_.empty() ? 0 : g_steady_clock.now();
+        const bool timer_due =
+            !timers_.empty() && timers_.front().fire_at <= now;
+        if (timer_due && (timer_turn || work_.empty())) {
+          std::pop_heap(timers_.begin(), timers_.end());
+          job = std::move(timers_.back().fn);
+          timers_.pop_back();
+          if (!job) {
+            if (tombstones_ > 0) --tombstones_;
+            continue;  // cancelled
+          }
+          timer_turn = false;
           break;
         }
-        if (!le.timers.empty()) {
-          const Micros now = g_steady_clock.now();
-          if (le.timers.front().fire_at <= now) {
-            std::pop_heap(le.timers.begin(), le.timers.end());
-            job = std::move(le.timers.back().fn);
-            le.timers.pop_back();
-            if (!job) {
-              if (le.tombstones > 0) --le.tombstones;
-              continue;  // cancelled
-            }
-            break;
-          }
-          const Micros wait_us = le.timers.front().fire_at - now;
-          le.cv.wait_for(lk, std::chrono::microseconds(wait_us));
-          continue;
+        if (!work_.empty()) {
+          job = std::move(work_.front());
+          work_.pop_front();
+          timer_turn = true;
+          break;
         }
-        le.cv.wait(lk);
+        if (timers_.empty()) {
+          exec_cv_.wait(lk);
+        } else {
+          exec_cv_.wait_for(
+              lk, std::chrono::microseconds(timers_.front().fire_at - now));
+        }
       }
     }
     job();
@@ -641,10 +603,9 @@ void TcpTransport::executor_loop(unsigned lane) {
 
 TcpBus::~TcpBus() { stop_all(); }
 
-TcpTransport& TcpBus::add_node(NodeId id, unsigned lanes) {
+TcpTransport& TcpBus::add_node(NodeId id) {
   auto ep = std::make_unique<TcpTransport>(*this, id, port_of(id));
   auto& ref = *ep;
-  ref.configure_lanes(lanes);
   endpoints_[id] = std::move(ep);  // replaces (and stops) any prior endpoint
   ref.start();
   return ref;

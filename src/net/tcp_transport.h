@@ -2,19 +2,21 @@
 //
 // TcpBus hosts one listening socket per node (localhost, distinct ports) and
 // lazily opened client connections between them, with 4-byte-length-prefixed
-// Message frames. Each endpoint owns N+1 threads:
+// Message frames. Each endpoint owns two threads:
 //
-//  * N lane executor threads (default 1) on which ALL of its callbacks run.
-//    Each decoded inbound frame is demuxed straight onto target_lane(msg)'s
-//    executor — the I/O thread never touches node state — and timers are
-//    lane-affine (a timer fires on the lane that scheduled it). Callbacks on
-//    one lane are serialized, preserving the single-writer execution model
-//    that node logic assumes under the simulator; and
+//  * an executor thread on which ALL of its callbacks run: decoded inbound
+//    frames, posted jobs and timers. Callbacks are serialized, preserving
+//    the single-writer execution model that node logic assumes under the
+//    simulator. The executor alternates between due timers and queued jobs,
+//    so neither a stream of inbound frames nor a zero-delay timer loop can
+//    starve the other; and
 //  * an I/O thread multiplexing every socket — listener, inbound and
-//    outbound — through one epoll instance. Outbound traffic goes through
-//    per-peer non-blocking write queues, so a slow or dead peer can never
-//    stall sends to healthy peers, and lost connections are re-established
-//    with exponential backoff while frames wait (bounded) in the queue.
+//    outbound — through one epoll instance. It only decodes frames and
+//    queues them for the executor; it never touches node state. Outbound
+//    traffic goes through per-peer non-blocking write queues, so a slow or
+//    dead peer can never stall sends to healthy peers, and lost connections
+//    are re-established with exponential backoff while frames wait
+//    (bounded) in the queue.
 //
 // This is the "real system" path: the integration tests run a full Khazana
 // cluster over actual sockets to show the node logic is transport-agnostic.
@@ -58,22 +60,17 @@ class TcpTransport final : public Transport {
   void send(Message msg) override;
   void set_handler(Handler handler) override;
   std::uint64_t schedule(Micros delay, std::function<void()> fn) override;
-  std::uint64_t schedule_on(unsigned lane, Micros delay,
-                            std::function<void()> fn) override;
-  void post(unsigned lane, std::function<void()> fn) override;
+  /// A direct enqueue on the executor's work queue (not a zero-delay
+  /// timer): cheaper, and FIFO with inbound messages already queued.
+  void post(std::function<void()> fn) override;
   void cancel(std::uint64_t timer_id) override;
   [[nodiscard]] const Clock& clock() const override;
-  [[nodiscard]] unsigned lanes() const override { return lanes_n_; }
-  /// Must be called before start(); ignored once the executors are running.
-  void configure_lanes(unsigned n) override;
 
-  /// Runs `fn` on lane 0's executor thread and returns once it completed.
-  /// Used by synchronous client wrappers to call into node logic safely.
-  void run_on_executor(std::function<void()> fn);
-  /// Runs `fn` on `lane`'s executor thread and returns once it completed.
-  /// Runs inline when already called from that lane's thread (re-entrant
+  /// Runs `fn` on the executor thread and returns once it completed. Used
+  /// by synchronous client wrappers to call into node logic safely. Runs
+  /// inline when already called from the executor thread (re-entrant
   /// client wrappers would otherwise self-deadlock).
-  void run_on_lane(unsigned lane, std::function<void()> fn);
+  void run_on_executor(std::function<void()> fn);
 
   /// Snapshot of the wire-level counters (thread-safe).
   [[nodiscard]] TransportStats stats() const;
@@ -126,23 +123,7 @@ class TcpTransport final : public Transport {
     Bytes buf;
   };
 
-  /// One lane's executor: serialized callbacks plus a timer heap, drained by
-  /// a dedicated thread that lives inside a LaneScope for its lifetime.
-  /// Timer ids are lane-strided (first id = lane + lanes, step = lanes) so
-  /// id % lanes recovers the owning lane for cancel(); with one lane this
-  /// degenerates to the historical 1, 2, 3, ... sequence.
-  struct LaneExec {
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::deque<std::function<void()>> work;
-    std::vector<Timer> timers;  // heap ordered by fire_at
-    std::size_t tombstones = 0;  // cancelled entries still in timers
-    std::uint64_t next_timer_id = 0;
-    std::thread thr;
-  };
-
-  void executor_loop(unsigned lane);
-  void enqueue_on(unsigned lane, std::function<void()> fn);
+  void executor_loop();
   void io_loop();
   void accept_ready();
   void inbound_ready(int fd, std::uint32_t events);
@@ -156,16 +137,16 @@ class TcpTransport final : public Transport {
   [[nodiscard]] int backoff_timeout_ms();     // locks io_mu_
   void close_inbound(int fd);                 // io_mu_ held
   void wake_io();
-  void dispatch(Message msg);                 // lane executor; locks handler_mu_
+  void dispatch(Message msg);                 // executor; locks handler_mu_
 
   TcpBus& bus_;
   NodeId id_;
   std::uint16_t port_;
 
-  // The inbound handler may be installed after start() (the executors are
+  // The inbound handler may be installed after start() (the executor is
   // already dispatching frames by then), so both the slot and the
   // not-yet-handled backlog live under their own mutex. Frames that arrive
-  // before set_handler() are parked, then replayed onto their lanes.
+  // before set_handler() are parked, then replayed through the executor.
   mutable std::mutex handler_mu_;
   Handler handler_;                // guarded by handler_mu_
   std::vector<Message> pre_handler_backlog_;  // guarded by handler_mu_
@@ -175,11 +156,15 @@ class TcpTransport final : public Transport {
   int wake_fd_ = -1;  // eventfd: send()/stop() nudge the I/O thread
   std::atomic<bool> running_{false};
 
-  // Executor state (lock order: io_mu_ before any lane mu; never the
-  // reverse). Fixed after start(): the vector itself is only mutated while
-  // single-threaded.
-  unsigned lanes_n_ = 1;
-  std::vector<std::unique_ptr<LaneExec>> lane_exec_;
+  // Executor state: serialized jobs plus a timer heap, drained by exec_.
+  // Lock order: io_mu_ before exec_mu_, never the reverse.
+  mutable std::mutex exec_mu_;
+  std::condition_variable exec_cv_;
+  std::deque<std::function<void()>> work_;  // guarded by exec_mu_
+  std::vector<Timer> timers_;     // heap ordered by fire_at; exec_mu_
+  std::size_t tombstones_ = 0;    // cancelled entries still in timers_
+  std::uint64_t next_timer_id_ = 1;
+  std::thread exec_;
 
   // Socket state, shared between send() callers and the I/O thread.
   mutable std::mutex io_mu_;
@@ -207,9 +192,8 @@ class TcpBus {
   TcpBus(const TcpBus&) = delete;
   TcpBus& operator=(const TcpBus&) = delete;
 
-  /// Creates and starts the endpoint for `id` on base_port + id, with
-  /// `lanes` executor lanes (clamped to [1, kMaxLanes]).
-  TcpTransport& add_node(NodeId id, unsigned lanes = 1);
+  /// Creates and starts the endpoint for `id` on base_port + id.
+  TcpTransport& add_node(NodeId id);
   /// Stops and destroys the endpoint for `id` (simulates a process kill);
   /// the same id can later be re-added to simulate a restart.
   void remove_node(NodeId id);

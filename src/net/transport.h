@@ -6,12 +6,10 @@
 // TCP sockets — the paper's claim that only the messaging layer is
 // system-dependent (Section 5), made concrete.
 //
-// Execution model: all callbacks for one node are partitioned across N
-// execution lanes (default 1). Callbacks on one lane are serialized, so
-// lane-owned node state needs no locking; a multi-lane transport dispatches
-// each inbound message onto target_lane(msg) and keeps timers lane-affine
-// (a timer fires on the lane that scheduled it). With lanes() == 1 this
-// degenerates to the historical single-context model.
+// Execution model: every callback for one node (inbound messages, timers,
+// posted jobs) runs in one serialized execution context, so node state that
+// only callbacks touch needs no locking. Scale comes from adding nodes, the
+// paper's unit of scale (Section 2, "Scalability").
 #pragma once
 
 #include <cstdint>
@@ -66,27 +64,10 @@ class Transport {
   /// Time source consistent with schedule() delays.
   [[nodiscard]] virtual const Clock& clock() const = 0;
 
-  // --- execution lanes (defaults keep single-lane transports unchanged) --
-
-  /// Number of execution lanes this endpoint dispatches across.
-  [[nodiscard]] virtual unsigned lanes() const { return 1; }
-
-  /// Requests `n` lanes. Must be called before traffic flows; transports
-  /// whose executors are already running may ignore it (TcpBus configures
-  /// endpoints at add_node time instead).
-  virtual void configure_lanes(unsigned n) { (void)n; }
-
-  /// schedule(), but pinned to an explicit lane instead of the caller's.
-  virtual std::uint64_t schedule_on(unsigned lane, Micros delay,
-                                    std::function<void()> fn) {
-    (void)lane;
-    return schedule(delay, std::move(fn));
-  }
-
-  /// Runs `fn` on `lane` as soon as possible (a zero-delay lane-pinned
-  /// timer). The cross-lane hop primitive.
-  virtual void post(unsigned lane, std::function<void()> fn) {
-    (void)schedule_on(lane, 0, std::move(fn));
+  /// Runs `fn` in this node's execution context as soon as possible, as a
+  /// fresh job (never inline). Defaults to a zero-delay timer.
+  virtual void post(std::function<void()> fn) {
+    (void)schedule(0, std::move(fn));
   }
 };
 

@@ -22,7 +22,6 @@ void OpDossier::encode(Encoder& e) const {
     e.u64(s.span_id);
     e.u64(s.parent_id);
     e.u32(s.node);
-    e.u32(s.lane);
     e.u64(static_cast<std::uint64_t>(s.start));
     e.u64(static_cast<std::uint64_t>(s.end));
     e.str(s.name);
@@ -49,7 +48,6 @@ OpDossier OpDossier::decode(Decoder& d) {
     s.span_id = d.u64();
     s.parent_id = d.u64();
     s.node = d.u32();
-    s.lane = d.u32();
     s.start = static_cast<Micros>(d.u64());
     s.end = static_cast<Micros>(d.u64());
     s.name = d.str();
@@ -106,10 +104,10 @@ std::string OpDossier::to_json() const {
     append_json_string(out, s.name);
     std::snprintf(buf, sizeof(buf),
                   ",\"span_id\":%llu,\"parent_id\":%llu,\"node\":%u,"
-                  "\"lane\":%u,\"start\":%llu,\"end\":%llu}",
+                  "\"start\":%llu,\"end\":%llu}",
                   static_cast<unsigned long long>(s.span_id),
                   static_cast<unsigned long long>(s.parent_id), s.node,
-                  s.lane, static_cast<unsigned long long>(s.start),
+                  static_cast<unsigned long long>(s.start),
                   static_cast<unsigned long long>(s.end));
     out += buf;
   }

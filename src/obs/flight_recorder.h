@@ -54,8 +54,8 @@ struct OpDossier {
 };
 
 /// Bounded dossier ring: newest kept, oldest overwritten, drop-counted.
-/// Internally locked — any lane's op completion may cut a dossier while
-/// another lane scrapes.
+/// Internally locked: the executor cuts dossiers while other threads
+/// (tests, tools) may read the ring.
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = 32)

@@ -22,7 +22,6 @@ TraceContext Tracer::begin_span(std::string_view name, TraceContext parent) {
   s.trace_id = parent.active() ? parent.trace_id : s.span_id;
   s.parent_id = parent.active() ? parent.span_id : 0;
   s.node = node_;
-  s.lane = current_lane();
   s.start = now();
   s.name.assign(name);
   if (open_.size() >= kMaxOpenSpans) {
@@ -57,12 +56,12 @@ void Tracer::push_finished(Span s) {
 
 TraceContext Tracer::current() const {
   std::lock_guard lk(mu_);
-  return current_[current_lane() % kMaxLanes];
+  return current_;
 }
 
 void Tracer::set_current(TraceContext ctx) {
   std::lock_guard lk(mu_);
-  current_[current_lane() % kMaxLanes] = ctx;
+  current_ = ctx;
 }
 
 std::vector<Span> Tracer::finished_spans() const {
@@ -87,7 +86,7 @@ void Tracer::clear() {
   ring_next_ = 0;
   open_.clear();
   dropped_ = 0;
-  current_.fill({});
+  current_ = {};
 }
 
 std::string chrome_trace_json(const std::vector<Span>& spans) {
@@ -106,13 +105,13 @@ std::string chrome_trace_json(const std::vector<Span>& spans) {
     std::snprintf(buf, sizeof(buf),
                   "\",\"cat\":\"khz\",\"ph\":\"X\",\"ts\":%lld,\"dur\":%lld,"
                   "\"pid\":%u,\"tid\":%llu,\"args\":{\"trace\":%llu,"
-                  "\"span\":%llu,\"parent\":%llu,\"lane\":%u}}",
+                  "\"span\":%llu,\"parent\":%llu}}",
                   static_cast<long long>(s.start),
                   static_cast<long long>(dur), s.node,
                   static_cast<unsigned long long>(s.trace_id),
                   static_cast<unsigned long long>(s.trace_id),
                   static_cast<unsigned long long>(s.span_id),
-                  static_cast<unsigned long long>(s.parent_id), s.lane);
+                  static_cast<unsigned long long>(s.parent_id));
     out += buf;
   }
   out += "]}";

@@ -13,7 +13,6 @@
 // never collide and still fit in the 2^53 doubles of JSON consumers.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/lane.h"
 #include "common/types.h"
 
 namespace khz::obs {
@@ -41,8 +39,6 @@ struct Span {
   std::uint64_t span_id = 0;
   std::uint64_t parent_id = 0;  // 0 = root
   NodeId node = 0;
-  /// Execution lane the span was opened on (0 on single-lane nodes).
-  unsigned lane = 0;
   Micros start = 0;
   Micros end = 0;
   std::string name;
@@ -66,9 +62,7 @@ class Tracer {
   /// Closes the span (no-op if unknown, e.g. already aged out).
   void end_span(const TraceContext& ctx);
 
-  /// Ambient context of the work currently executing on the calling lane.
-  /// One slot per execution lane: concurrent lanes each carry their own
-  /// ambient trace without clobbering each other's.
+  /// Ambient context of the work currently executing on the node.
   [[nodiscard]] TraceContext current() const;
   void set_current(TraceContext ctx);
 
@@ -88,7 +82,7 @@ class Tracer {
   std::size_t capacity_;
   const Clock* clock_ = nullptr;
   std::uint64_t next_seq_ = 1;
-  std::array<TraceContext, kMaxLanes> current_{};  // indexed by current_lane()
+  TraceContext current_;
   std::map<std::uint64_t, Span> open_;  // span_id -> span in progress
   std::vector<Span> ring_;              // finished spans, bounded
   std::size_t ring_next_ = 0;           // overwrite cursor once full

@@ -88,7 +88,7 @@ class DiskStore {
 
   /// Checkpoint/compaction: rewrites live pages out of cold segments and
   /// unlinks them. Returns pages rewritten. Runs on the owner's checkpoint
-  /// timer rail, never on a lane hot path.
+  /// timer rail, never on a client op's hot path.
   std::size_t compact(std::size_t max_pages = 0) {
     return segments_->compact(max_pages);
   }

@@ -42,9 +42,7 @@ enum class HitLevel { kRam, kDisk, kMiss };
 class StorageHierarchy {
  public:
   /// `disk` may be null (diskless node: victims are dropped via the hook).
-  /// Shared: a multi-lane node runs one hierarchy per lane over a single
-  /// DiskStore (pages are lane-partitioned, so lanes never contend on one
-  /// page; the store's own counters are internally synchronized).
+  /// The store's own counters are internally synchronized.
   StorageHierarchy(std::size_t ram_capacity_pages,
                    std::shared_ptr<DiskStore> disk);
 

@@ -81,8 +81,8 @@ class MetaJournal {
   [[nodiscard]] bool sync_now();
 
   std::filesystem::path path_;
-  /// Guards the stream and the dirty flag: lane threads append while the
-  /// owner's group-commit timer syncs.
+  /// Guards the stream and the dirty flag, so appends and the owner's
+  /// group-commit sync are safe from any thread.
   mutable std::mutex mu_;
   std::ofstream out_;
   std::size_t appended_ = 0;

@@ -25,14 +25,12 @@
 //     crash is recovered byte-identically.
 //   * compact() rewrites the live records out of mostly-dead cold segments
 //     into the head segment and unlinks them (checkpoint/compaction pass;
-//     Node runs it on its own timer rail so lane threads never block on
+//     Node runs it on its own timer rail so client ops never block on
 //     it). Sources are unlinked only after the copies are committed.
 //
 // Record framing (little-endian): u32 magic, u8 kind (put/tombstone),
 // u64 addr.hi, u64 addr.lo, u32 payload length, u32 FNV-1a payload
-// checksum, payload. All methods are thread-safe (one internal mutex): a
-// multi-lane node funnels every lane's victimization and write-through
-// traffic into the one shared store.
+// checksum, payload. All methods are thread-safe (one internal mutex).
 #pragma once
 
 #include <cstdint>

@@ -86,7 +86,7 @@ void expect_one_visit_matches_three_calls(TcpClient& a, TcpClient& b,
 }
 
 TEST(TcpIntegration, ReserveWriteReadAcrossRealSockets) {
-  TcpWorld world({.nodes = 3, .base_port = 42100});
+  TcpWorld world({.nodes = 3, .base_port = 30200});
   TcpClient alice(world, 1);
   TcpClient bob(world, 2);
 
@@ -101,7 +101,7 @@ TEST(TcpIntegration, ReserveWriteReadAcrossRealSockets) {
 }
 
 TEST(TcpIntegration, CrewExclusionHoldsOverTcp) {
-  TcpWorld world({.nodes = 3, .base_port = 42200});
+  TcpWorld world({.nodes = 3, .base_port = 30210});
   TcpClient c1(world, 1);
   TcpClient c2(world, 2);
   auto base = c1.create_region(4096);
@@ -123,7 +123,7 @@ TEST(TcpIntegration, CrewExclusionHoldsOverTcp) {
 }
 
 TEST(TcpIntegration, AttributesAndLocationQueriesWork) {
-  TcpWorld world({.nodes = 3, .base_port = 42300});
+  TcpWorld world({.nodes = 3, .base_port = 30220});
   TcpClient c1(world, 1);
   RegionAttrs attrs;
   attrs.min_replicas = 2;
@@ -140,7 +140,7 @@ TEST(TcpIntegration, AttributesAndLocationQueriesWork) {
 }
 
 TEST(TcpIntegration, KfsRunsUnmodifiedOverTcp) {
-  TcpWorld world({.nodes = 3, .base_port = 42400});
+  TcpWorld world({.nodes = 3, .base_port = 30230});
   TcpClient c0(world, 0);
   TcpClient c2(world, 2);
 
@@ -169,7 +169,7 @@ TEST(TcpIntegration, KfsRunsUnmodifiedOverTcp) {
 }
 
 TEST(TcpIntegration, MigrationOverRealSockets) {
-  TcpWorld world({.nodes = 3, .base_port = 42600});
+  TcpWorld world({.nodes = 3, .base_port = 30240});
   TcpClient c0(world, 0);
   TcpClient c1(world, 1);
 
@@ -204,7 +204,7 @@ TEST(TcpIntegration, MigrationOverRealSockets) {
 }
 
 TEST(TcpIntegration, TransportStatsSeeClusterTraffic) {
-  TcpWorld world({.nodes = 3, .base_port = 42700});
+  TcpWorld world({.nodes = 3, .base_port = 30250});
   TcpClient c1(world, 1);
   TcpClient c2(world, 2);
   auto base = c1.create_region(4096);
@@ -223,7 +223,7 @@ TEST(TcpIntegration, TransportStatsSeeClusterTraffic) {
 }
 
 TEST(TcpIntegration, ConcurrentClientsFromSeparateThreads) {
-  TcpWorld world({.nodes = 3, .base_port = 42500});
+  TcpWorld world({.nodes = 3, .base_port = 30260});
   TcpClient c0(world, 0);
   auto base = c0.create_region(4096);
   ASSERT_TRUE(base.ok());
@@ -264,7 +264,7 @@ TEST(TcpIntegration, ConcurrentClientsFromSeparateThreads) {
 // ---------------------------------------------------------------------------
 
 TEST(TcpIntegration, OneVisitGetPutMatchThreeCalls) {
-  TcpWorld world({.nodes = 3, .base_port = 42800});
+  TcpWorld world({.nodes = 3, .base_port = 30270});
   TcpClient c1(world, 1);
   TcpClient c2(world, 2);
   auto base = c1.create_region(8192);
@@ -272,27 +272,8 @@ TEST(TcpIntegration, OneVisitGetPutMatchThreeCalls) {
   expect_one_visit_matches_three_calls(c1, c2, base.value());
 }
 
-TEST(TcpIntegration, OneVisitGetPutMatchThreeCallsOnSecondLane) {
-  TcpWorld world({.nodes = 3, .base_port = 42900, .lanes = 2});
-  TcpClient c1(world, 1);
-  TcpClient c2(world, 2);
-  // Lock ids are minted on the region's lane, so lock_lane() names the
-  // lane the region lives on at the client node.
-  std::optional<GlobalAddress> on_lane1;
-  for (int i = 0; i < 32 && !on_lane1; ++i) {
-    auto base = c1.create_region(8192);
-    ASSERT_TRUE(base.ok()) << to_string(base.error());
-    auto ctx = c1.lock({base.value(), 8192}, LockMode::kRead);
-    ASSERT_TRUE(ctx.ok()) << to_string(ctx.error());
-    if (world.node(1).lock_lane(ctx.value()) == 1) on_lane1 = base.value();
-    c1.unlock(ctx.value());
-  }
-  ASSERT_TRUE(on_lane1.has_value()) << "no region hashed to lane 1";
-  expect_one_visit_matches_three_calls(c1, c2, *on_lane1);
-}
-
 TEST(TcpIntegration, OneVisitGetReportsLockError) {
-  TcpWorld world({.nodes = 3, .base_port = 43000});
+  TcpWorld world({.nodes = 3, .base_port = 30280});
   TcpClient c1(world, 1);
   // Reserved but never allocated: the lock fails, and get/put say why.
   auto base = c1.reserve(4096, {});
@@ -306,7 +287,7 @@ TEST(TcpIntegration, OneVisitGetReportsLockError) {
 }
 
 TEST(TcpIntegration, OneVisitOversizePutReleasesItsLock) {
-  TcpWorld world({.nodes = 3, .base_port = 43300});
+  TcpWorld world({.nodes = 3, .base_port = 30290});
   TcpClient c1(world, 1);
   TcpClient c2(world, 2);
   auto base = c1.create_region(8192);
@@ -326,7 +307,7 @@ TEST(TcpIntegration, OneVisitOversizePutReleasesItsLock) {
 }
 
 TEST(TcpIntegration, OneVisitStampedGetPutNeverTearAcrossThreads) {
-  TcpWorld world({.nodes = 3, .base_port = 43400});
+  TcpWorld world({.nodes = 3, .base_port = 30300});
   constexpr std::size_t kPage = 4096;
   constexpr int kRegions = 3;
   constexpr int kThreads = 4;  // two on node 1, two on node 2

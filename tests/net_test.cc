@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <thread>
 
 #include "net/sim_network.h"
@@ -283,7 +285,7 @@ TEST_F(SimNetTest, SameSeedSameSchedule) {
 // ---------------------------------------------------------------------------
 
 TEST(TcpTransportTest, SendReceiveRoundTrip) {
-  TcpBus bus(41200);
+  TcpBus bus(30000);
   auto& a = bus.add_node(0);
   auto& b = bus.add_node(1);
 
@@ -311,7 +313,7 @@ TEST(TcpTransportTest, SendReceiveRoundTrip) {
 }
 
 TEST(TcpTransportTest, ManyMessagesArriveInOrder) {
-  TcpBus bus(41300);
+  TcpBus bus(30010);
   auto& a = bus.add_node(0);
   auto& b = bus.add_node(1);
   std::atomic<int> count{0};
@@ -335,7 +337,7 @@ TEST(TcpTransportTest, ManyMessagesArriveInOrder) {
 }
 
 TEST(TcpTransportTest, TimersFireOnExecutor) {
-  TcpBus bus(41400);
+  TcpBus bus(30020);
   auto& a = bus.add_node(0);
   a.set_handler([](Message) {});
   std::atomic<bool> fired{false};
@@ -347,7 +349,7 @@ TEST(TcpTransportTest, TimersFireOnExecutor) {
 }
 
 TEST(TcpTransportTest, CancelledTimerIsSilent) {
-  TcpBus bus(41500);
+  TcpBus bus(30030);
   auto& a = bus.add_node(0);
   a.set_handler([](Message) {});
   std::atomic<bool> fired{false};
@@ -358,7 +360,7 @@ TEST(TcpTransportTest, CancelledTimerIsSilent) {
 }
 
 TEST(TcpTransportTest, SendToDeadPeerIsBestEffort) {
-  TcpBus bus(41600);
+  TcpBus bus(30040);
   auto& a = bus.add_node(0);
   a.set_handler([](Message) {});
   // Node 7 was never started; the send must not crash or block.
@@ -371,7 +373,7 @@ TEST(TcpTransportTest, SendToDeadPeerIsBestEffort) {
 // a later one returned the LATER timer's id — and cancel() then silenced
 // the wrong timer.
 TEST(TcpTransportTest, ScheduleReturnsIdOfTheTimerJustScheduled) {
-  TcpBus bus(44100);
+  TcpBus bus(30050);
   auto& a = bus.add_node(0);
   a.set_handler([](Message) {});
   std::atomic<bool> late_fired{false};
@@ -389,7 +391,7 @@ TEST(TcpTransportTest, ScheduleReturnsIdOfTheTimerJustScheduled) {
 }
 
 TEST(TcpTransportTest, CancelPurgesTimerTombstones) {
-  TcpBus bus(44200);
+  TcpBus bus(30060);
   auto& a = bus.add_node(0);
   a.set_handler([](Message) {});
   std::vector<std::uint64_t> ids;
@@ -401,6 +403,70 @@ TEST(TcpTransportTest, CancelPurgesTimerTombstones) {
   // Lazy compaction must have reclaimed the cancelled entries rather than
   // leaving 200 tombstones until their distant fire time.
   EXPECT_EQ(a.pending_timers(), 0u);
+}
+
+using SteadyTime = std::chrono::steady_clock;
+
+/// Milliseconds from `t0` to now.
+long long ms_since(SteadyTime::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             SteadyTime::now() - t0)
+      .count();
+}
+
+// Inbound frames and posted jobs share the executor's work queue. A due
+// timer must still fire while that queue never drains (here: a job that
+// keeps re-posting itself for a second), or RPC timeouts, CREW's
+// zero-delay batch flush, self-sends and group commit all stall behind
+// sustained traffic.
+TEST(TcpTransportTest, DueTimerFiresUnderSustainedPosts) {
+  TcpBus bus(30100);
+  auto& a = bus.add_node(0);
+  a.set_handler([](Message) {});
+  const auto t0 = SteadyTime::now();
+  std::atomic<bool> reposting{true};
+  std::function<void()> spin = [&] {
+    if (ms_since(t0) < 1000) {
+      a.post(spin);
+    } else {
+      reposting.store(false);
+    }
+  };
+  std::atomic<long long> fired_ms{-1};
+  a.post(spin);
+  a.schedule(1'000, [&] { fired_ms.store(ms_since(t0)); });
+  for (int i = 0; i < 600 && (reposting.load() || fired_ms.load() < 0); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  bus.stop_all();  // no callback may outlive the locals it captures
+  EXPECT_GE(fired_ms.load(), 0);
+  EXPECT_LT(fired_ms.load(), 100);
+}
+
+// The reverse direction: a timer that re-arms itself with zero delay for a
+// second must not starve a posted job.
+TEST(TcpTransportTest, PostedJobRunsUnderZeroDelayTimerLoop) {
+  TcpBus bus(30110);
+  auto& a = bus.add_node(0);
+  a.set_handler([](Message) {});
+  const auto t0 = SteadyTime::now();
+  std::atomic<bool> looping{true};
+  std::function<void()> tick = [&] {
+    if (ms_since(t0) < 1000) {
+      a.schedule(0, tick);
+    } else {
+      looping.store(false);
+    }
+  };
+  std::atomic<long long> ran_ms{-1};
+  a.schedule(0, tick);
+  a.post([&] { ran_ms.store(ms_since(t0)); });
+  for (int i = 0; i < 600 && (looping.load() || ran_ms.load() < 0); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  bus.stop_all();
+  EXPECT_GE(ran_ms.load(), 0);
+  EXPECT_LT(ran_ms.load(), 100);
 }
 
 /// A listening socket that accepts connections into its backlog but never
@@ -428,7 +494,7 @@ class Blackhole {
 };
 
 TEST(TcpTransportTest, WedgedPeerDoesNotStallSendsToHealthyPeers) {
-  TcpBus bus(44300);
+  TcpBus bus(30070);
   auto& a = bus.add_node(0);
   auto& b = bus.add_node(1);
   Blackhole wedged(bus.port_of(2));
@@ -456,7 +522,7 @@ TEST(TcpTransportTest, WedgedPeerDoesNotStallSendsToHealthyPeers) {
 }
 
 TEST(TcpTransportTest, ReconnectsWithBackoffAfterPeerRestart) {
-  TcpBus bus(44400);
+  TcpBus bus(30080);
   auto& a = bus.add_node(0);
   auto& b = bus.add_node(1);
   std::atomic<int> got{0};
@@ -494,7 +560,7 @@ TEST(TcpTransportTest, ReconnectsWithBackoffAfterPeerRestart) {
 }
 
 TEST(TcpTransportTest, StatsCountTraffic) {
-  TcpBus bus(44500);
+  TcpBus bus(30090);
   auto& a = bus.add_node(0);
   auto& b = bus.add_node(1);
   std::atomic<int> got{0};

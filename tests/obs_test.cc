@@ -444,7 +444,7 @@ TEST(MetricsIntegration, SimWorldOpsShowUpInRegistry) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceIntegration, TcpWorldTracePropagates) {
-  core::TcpWorld world({.nodes = 2, .base_port = 44100});
+  core::TcpWorld world({.nodes = 2, .base_port = 30400});
   core::TcpClient home(world, 0);
   core::TcpClient client(world, 1);
 

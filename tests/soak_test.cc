@@ -196,7 +196,7 @@ TEST(SoakTest, TcpReconnectChurnLeaksNoThreadsOrTimers) {
     return -1;
   };
 
-  net::TcpBus bus(44800);
+  net::TcpBus bus(30410);
   auto& a = bus.add_node(0);
   a.set_handler([](net::Message) {});
   std::atomic<int> got{0};

@@ -155,8 +155,8 @@ TEST(StatsWire, OpDossierRoundTrip) {
   in.depth_protocol = 2;
   in.depth_client = 63;
   in.depth_replication = 0;
-  in.spans.push_back({0xDEADBEEF, 7, 0, 3, 0, 100, 4100, "op:getattr"});
-  in.spans.push_back({0xDEADBEEF, 8, 7, 3, 1, 150, 4000, "rpc:GetAttrReq"});
+  in.spans.push_back({0xDEADBEEF, 7, 0, 3, 100, 4100, "op:getattr"});
+  in.spans.push_back({0xDEADBEEF, 8, 7, 3, 150, 4000, "rpc:GetAttrReq"});
 
   Encoder e;
   in.encode(e);
@@ -326,7 +326,7 @@ TEST(TelemetrySim, SelfSamplerFillsTheSeriesRing) {
 // ---------------------------------------------------------------------------
 
 TEST(TelemetryTcp, ClusterRollupEqualsPerNodeSums) {
-  TcpWorld world({.nodes = 2, .base_port = 38731});
+  TcpWorld world({.nodes = 2, .base_port = 30420});
   TcpClient client(world, 1);
   auto base = client.reserve(4096, {});
   ASSERT_TRUE(base.ok());
