@@ -17,6 +17,17 @@ bool writable_locally(const storage::PageInfo& info, NodeId self) {
   return info.state == PS::kExclusive && info.owner == self &&
          info.read_holds == 0 && info.write_holds == 0;
 }
+
+/// At the home, the home's own lock holds exclude remote requests as a
+/// sharer's holds do (a sharer defers the home's invalidate, downgrade or
+/// transfer): a remote write waits out every local hold, a remote read
+/// any local write hold.
+bool held_at_home(const storage::PageInfo& info, NodeId from, NodeId self,
+                  LockMode mode) {
+  if (from == self) return false;
+  return info.write_holds > 0 ||
+         (mode != LockMode::kRead && info.read_holds > 0);
+}
 }  // namespace
 
 void CrewManager::send(NodeId to, const GlobalAddress& page, Sub sub,
@@ -77,6 +88,12 @@ void CrewManager::try_grant_local(const GlobalAddress& page) {
       can_grant = (w.mode == LockMode::kRead) ? readable(info)
                                               : writable_locally(info, self);
     }
+    // No new local hold while the home hands the page to a remote writer:
+    // the grant would not survive the transfer.
+    if (!w.prefetch && st.busy && st.in_flight_mode != LockMode::kRead &&
+        st.in_flight_requester != self) {
+      can_grant = false;
+    }
     if (!can_grant) break;
     if (!w.prefetch) {
       if (w.mode == LockMode::kRead) {
@@ -114,6 +131,7 @@ void CrewManager::finish_round(PageState& st) {
         static_cast<std::uint64_t>(host_.now() - st.request_sent_at));
   }
   st.request_outstanding = false;
+  st.invalidated_in_flight = false;
   // The counter is per-round: a response (grant or Nack) ends the round.
   // Leaving it non-zero would steer every later round for this page to the
   // alternate homes even after the primary answered again.
@@ -279,7 +297,8 @@ void CrewManager::home_handle(const GlobalAddress& page, NodeId from,
   for (const auto& r : st.pending) {
     if (r.from == from && r.mode == mode) return;
   }
-  if (st.busy) {
+  if (st.busy || !st.pending.empty() ||
+      held_at_home(host_.page_info(page), from, host_.self(), mode)) {
     st.pending.push_back({from, mode});
     return;
   }
@@ -439,12 +458,18 @@ void CrewManager::home_finish(const GlobalAddress& page) {
   st.in_flight_mode = LockMode::kNone;
   st.awaiting_inv_acks.clear();
   home_drain_queue(page);
+  // Local waiters held back during a remote write look again.
+  try_grant_local(page);
 }
 
 void CrewManager::home_drain_queue(const GlobalAddress& page) {
   auto& st = state(page);
   if (st.busy || st.pending.empty()) return;
   const RemoteReq next = st.pending.front();
+  if (held_at_home(host_.page_info(page), next.from, host_.self(),
+                   next.mode)) {
+    return;  // release() drains again when the local holds drop
+  }
   st.pending.pop_front();
   home_start(page, next.from, next.mode);
 }
@@ -540,9 +565,10 @@ void CrewManager::on_batch_fetch(NodeId from, Decoder& d) {
         out.u8(static_cast<std::uint8_t>(ErrorCode::kNotFound));
         ++out_n;
       }
-    } else if (st.busy || !st.pending.empty()) {
-      // A directory transaction is in flight; queue behind it and let the
-      // reply travel per-page.
+    } else if (st.busy || !st.pending.empty() ||
+               held_at_home(info, from, self, mode)) {
+      // A directory transaction is in flight, or the home's own holds
+      // conflict; queue behind them and let the reply travel per-page.
       home_handle(page, from, mode);
     } else {
       info.homed_locally = true;
@@ -707,6 +733,9 @@ void CrewManager::release(const GlobalAddress& page, LockMode mode,
     }
   }
   maybe_run_deferred(page);
+  // Remote requests the home's own holds held back go first, so a stream
+  // of local holds cannot starve them.
+  home_drain_queue(page);
   try_grant_local(page);
   if (is_write(mode) && dirty) host_.note_copyset_change(page);
 }
@@ -758,8 +787,13 @@ void CrewManager::on_message(NodeId from, const GlobalAddress& page,
       // round was abandoned): installing it could resurrect a copy the
       // directory no longer tracks, so drop it.
       if (!st.request_outstanding && st.waiters.empty()) break;
+      const bool stale = st.invalidated_in_flight;
       finish_round(st);
       st.retries = 0;
+      if (stale) {
+        try_grant_local(page);  // still invalid: sends a fresh request
+        break;
+      }
       install_data(page, v, std::move(data), PS::kShared);
       try_grant_local(page);
       // A downgrade that overtook this grant can run now that data exists
@@ -790,6 +824,13 @@ void CrewManager::on_message(NodeId from, const GlobalAddress& page,
         st.deferred_invalidate = true;
         st.deferred_inv_home = from;
       } else {
+        // A downgrading owner sends our read data on its own connection,
+        // so this invalidate can overtake it; the copy it names is then
+        // the one still in flight.
+        if (info.state == PS::kInvalid && st.request_outstanding &&
+            st.requested_mode == LockMode::kRead) {
+          st.invalidated_in_flight = true;
+        }
         holder_apply_invalidate(page, from);
       }
       break;

@@ -98,6 +98,9 @@ class CrewManager final : public ConsistencyManager {
     std::uint64_t request_timer = 0;
     Micros request_sent_at = 0;  // for the crew.round_us histogram
     int retries = 0;
+    /// An invalidate arrived while this read round's data was still in
+    /// flight: that data is stale on arrival and is asked for again.
+    bool invalidated_in_flight = false;
     // --- home side ---
     bool busy = false;  // one directory transaction at a time
     std::deque<RemoteReq> pending;

@@ -6,10 +6,13 @@
 // exist — SimClient (pumps the discrete-event simulator until the
 // operation's callback fires) and TcpClient in tcp_world.h (posts the
 // operation to the node's executor and blocks once for its completion;
-// get/put run lock + access + unlock there as one hand-off). KFS and the
-// object runtime are written against this interface and run unchanged over
-// either transport.
+// get/put and get_many/put_many run lock + access + unlock there as one
+// hand-off). KFS and the object runtime are written against this interface
+// and run unchanged over either transport.
 #pragma once
+
+#include <algorithm>
+#include <numeric>
 
 #include "core/node.h"
 #include "core/sim_world.h"
@@ -73,6 +76,91 @@ class SyncClient {
     unlock(ctx.value());
     return r;
   }
+
+  /// Reads every range while holding read locks on all of them at once:
+  /// one Bytes per range, in the caller's order. This default locks each
+  /// range in ascending base order, reads them all, then unlocks them all,
+  /// so a decorator that forwards only the single calls stays atomic.
+  /// All-or-nothing: a failed lock releases those already taken.
+  /// kBadArgument for an empty batch, a zero-size range, or two ranges
+  /// that overlap or share a 4 KiB block. Overridable so a transport can
+  /// run the whole batch in one hand-off (SimClient and TcpClient call
+  /// Node::get_many).
+  virtual Result<std::vector<Bytes>> get_many(
+      std::vector<AddressRange> ranges) {
+    auto ctxs = lock_all(ranges, consistency::LockMode::kRead);
+    if (!ctxs) return ctxs.error();
+    std::vector<Bytes> out;
+    out.reserve(ranges.size());
+    ErrorCode err = ErrorCode::kOk;
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+      auto r = read(ctxs.value()[i], 0, ranges[i].size);
+      if (!r) {
+        err = r.error();
+        break;
+      }
+      out.push_back(std::move(r).value());
+    }
+    for (const auto& ctx : ctxs.value()) unlock(ctx);
+    if (err != ErrorCode::kOk) return err;
+    return out;
+  }
+
+  /// Writes each `data` at the start of its range while holding write
+  /// locks on all of them at once, staged like get_many. Data longer than
+  /// its range is kBadArgument before any lock is taken.
+  virtual Status put_many(std::vector<RangeWrite> writes) {
+    std::vector<AddressRange> ranges;
+    ranges.reserve(writes.size());
+    for (const auto& w : writes) {
+      if (w.data.size() > w.range.size) return ErrorCode::kBadArgument;
+      ranges.push_back(w.range);
+    }
+    auto ctxs = lock_all(ranges, consistency::LockMode::kWrite);
+    if (!ctxs) return ctxs.error();
+    Status s;
+    for (std::size_t i = 0; i < writes.size() && s.ok(); ++i) {
+      s = write(ctxs.value()[i], 0, writes[i].data);
+    }
+    for (const auto& ctx : ctxs.value()) unlock(ctx);
+    return s;
+  }
+
+ private:
+  /// The default get_many/put_many's locks: one lock() per range in
+  /// ascending base order, the order Node::get_many takes its holds in.
+  /// Contexts come back in the caller's order.
+  Result<std::vector<consistency::LockContext>> lock_all(
+      const std::vector<AddressRange>& ranges, consistency::LockMode mode) {
+    if (ranges.empty()) return ErrorCode::kBadArgument;
+    std::vector<std::size_t> order(ranges.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return ranges[a].base < ranges[b].base;
+    });
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const AddressRange& r = ranges[order[k]];
+      if (r.size == 0) return ErrorCode::kBadArgument;
+      // Ranges sharing a 4 KiB block share a page (pages are aligned
+      // multiples of 4 KiB): a second write lock on it would wait on the
+      // first forever.
+      if (k > 0 && !(ranges[order[k - 1]].end().minus(1).page_floor(
+                         kDefaultPageSize) <
+                     r.base.page_floor(kDefaultPageSize))) {
+        return ErrorCode::kBadArgument;
+      }
+    }
+    std::vector<consistency::LockContext> ctxs(ranges.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      auto ctx = lock(ranges[order[k]], mode);
+      if (!ctx) {
+        for (std::size_t j = 0; j < k; ++j) unlock(ctxs[order[j]]);
+        return ctx.error();
+      }
+      ctxs[order[k]] = ctx.value();
+    }
+    return ctxs;
+  }
 };
 
 /// SyncClient over a SimWorld node.
@@ -117,6 +205,13 @@ class SimClient final : public SyncClient {
   }
   Result<std::vector<NodeId>> locate(const GlobalAddress& addr) override {
     return world_.locate(node_, addr);
+  }
+  Result<std::vector<Bytes>> get_many(
+      std::vector<AddressRange> ranges) override {
+    return world_.get_many(node_, std::move(ranges));
+  }
+  Status put_many(std::vector<RangeWrite> writes) override {
+    return world_.put_many(node_, std::move(writes));
   }
   [[nodiscard]] NodeId node_id() const override { return node_; }
 

@@ -109,6 +109,7 @@ Node::Node(NodeConfig config, net::Transport& transport)
   ins_.resolve_map_walk_us = &metrics_.histogram("resolve.map_walk_us");
   ins_.resolve_cluster_walk_us =
       &metrics_.histogram("resolve.cluster_walk_us");
+  ins_.lock_ranges = &metrics_.histogram("op.lock.ranges");
   ins_.lock_pages = &metrics_.histogram("op.lock.pages");
   ins_.lock_window = &metrics_.histogram("op.lock.window_occupancy");
   ins_.scrapes_served = &metrics_.counter("telemetry.scrapes_served");

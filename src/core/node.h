@@ -171,6 +171,12 @@ struct NodeStats {
   std::uint64_t background_retries = 0;
 };
 
+/// One range of a put_many: `data` is written at the start of `range`.
+struct RangeWrite {
+  AddressRange range;
+  Bytes data;
+};
+
 class Node final : public consistency::CmHost,
                    public RpcEngine::Host,
                    public location::Fabric::Host,
@@ -200,6 +206,7 @@ class Node final : public consistency::CmHost,
   using AttrCb = std::function<void(Result<RegionAttrs>)>;
   using LocateCb = std::function<void(Result<std::vector<NodeId>>)>;
   using BytesCb = std::function<void(Result<Bytes>)>;
+  using BytesListCb = std::function<void(Result<std::vector<Bytes>>)>;
 
   /// Reserves `size` bytes of global address space as a new region homed
   /// on this node (Section 2: reserve/unreserve).
@@ -235,16 +242,27 @@ class Node final : public consistency::CmHost,
   Status write(const consistency::LockContext& ctx, std::uint64_t offset,
                std::span<const std::uint8_t> data);
 
-  /// Composite lock(kRead) + read of all of [range) + unlock. Once the
-  /// lock is granted, the read and the release run as one freshly posted
-  /// job (never inside the protocol's grant callback), so the
-  /// lock is held only across the access. `cb` fires once, with the
-  /// lock's error or the read's result.
+  /// Composite lock(kRead) of every range + read of each + unlock, in one
+  /// executor visit. The ranges may lie in different regions; holds are
+  /// taken in ascending global address order after one prefetch phase over
+  /// all their pages. Once every lock is granted, the reads and the
+  /// releases run as one freshly posted job (never inside the protocol's
+  /// grant callback), so all ranges are held together, and only across the
+  /// accesses. `cb` fires once, with one Bytes per range in the caller's
+  /// order, or the first error. All-or-nothing: a failed lock releases
+  /// every hold already taken. kBadArgument for an empty batch, a
+  /// zero-size range, or two ranges that overlap or share a page.
+  void get_many(std::vector<AddressRange> ranges, BytesListCb cb);
+
+  /// Composite lock(kWrite) of every range + write of each `data` at the
+  /// start of its range + unlock, staged like get_many(). Data longer than
+  /// its range is kBadArgument before any lock is taken.
+  void put_many(std::vector<RangeWrite> writes, StatusCb cb);
+
+  /// The one-range get_many().
   void get(const AddressRange& range, BytesCb cb);
 
-  /// Composite lock(kWrite) + write of `data` at the start of [range) +
-  /// unlock, staged like get(). The lock is released even when the write
-  /// fails (e.g. kBadArgument for data longer than the range).
+  /// The one-range put_many().
   void put(const AddressRange& range, Bytes data, StatusCb cb);
 
   void getattr(const GlobalAddress& base, AttrCb cb);
@@ -505,13 +523,24 @@ class Node final : public consistency::CmHost,
                       ReserveCb cb);
   [[nodiscard]] std::uint64_t pool_bytes() const;
 
-  // Lock machinery. Acquisition is two-phase: a windowed prefetch fan-out
-  // warms every page (parallel remote rounds, no holds taken), then holds
-  // are taken in strict ascending address order (deadlock avoidance).
-  void start_lock_op(const RegionDescriptor& desc, const AddressRange& range,
-                     consistency::LockMode mode, LockCb cb);
-  void lock_prefetch_pump(const std::shared_ptr<struct LockOp>& op);
-  void lock_next_page(std::shared_ptr<struct LockOp> op);
+  // Lock machinery (node_lock.cc). One LockOp serves lock(), get/put and
+  // get_many/put_many: resolve every range, then a windowed prefetch
+  // fan-out warms every page (parallel remote rounds, no holds taken),
+  // then holds are taken in strict ascending address order (deadlock
+  // avoidance). Yields one lock context per range, in the caller's order.
+  struct LockOp;
+  using LocksCb =
+      std::function<void(Result<std::vector<consistency::LockContext>>)>;
+  void lock_ranges(std::vector<AddressRange> ranges,
+                   consistency::LockMode mode, LocksCb cb);
+  /// Resolves the region of `range` and checks containment, the ACL and
+  /// allocation (refreshing a descriptor cached before allocate()).
+  void resolve_for_lock(const AddressRange& range, consistency::LockMode mode,
+                        location::Resolver::DescCb cb);
+  void start_lock_op(const std::shared_ptr<LockOp>& op);
+  void lock_prefetch_pump(const std::shared_ptr<LockOp>& op);
+  void lock_next_page(std::shared_ptr<LockOp> op);
+  void grant_lock_op(LockOp& op);
   [[nodiscard]] consistency::ConsistencyManager* cm_for(
       consistency::ProtocolId protocol);
 
@@ -711,8 +740,9 @@ class Node final : public consistency::CmHost,
     obs::Histogram* resolve_manager_hint_us = nullptr;
     obs::Histogram* resolve_map_walk_us = nullptr;
     obs::Histogram* resolve_cluster_walk_us = nullptr;
-    /// Pages per multi-page lock op, and the prefetch window's occupancy
+    /// Ranges and pages per lock op, and the prefetch window's occupancy
     /// sampled at each issue (how much of the pipeline is actually used).
+    obs::Histogram* lock_ranges = nullptr;
     obs::Histogram* lock_pages = nullptr;
     obs::Histogram* lock_window = nullptr;
     /// Telemetry plane.

@@ -262,6 +262,24 @@ Result<Bytes> SimWorld::get(NodeId n, const AddressRange& range) {
   return r;
 }
 
+Result<std::vector<Bytes>> SimWorld::get_many(
+    NodeId n, std::vector<AddressRange> ranges) {
+  std::optional<Result<std::vector<Bytes>>> out;
+  node(n).get_many(std::move(ranges), [&](Result<std::vector<Bytes>> r) {
+    out = std::move(r);
+  });
+  pump_until([&] { return out.has_value(); });
+  if (!out) return ErrorCode::kTimeout;
+  return std::move(*out);
+}
+
+Status SimWorld::put_many(NodeId n, std::vector<RangeWrite> writes) {
+  std::optional<Status> out;
+  node(n).put_many(std::move(writes), [&](Status s) { out = s; });
+  pump_until([&] { return out.has_value(); });
+  return out.value_or(ErrorCode::kTimeout);
+}
+
 // ---------------------------------------------------------------------------
 // Observability
 // ---------------------------------------------------------------------------

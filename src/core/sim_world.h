@@ -149,6 +149,11 @@ class SimWorld {
              std::span<const std::uint8_t> data);
   /// lock(read) + read + unlock.
   Result<Bytes> get(NodeId n, const AddressRange& range);
+  /// Node::get_many / Node::put_many: every range locked at once, in one
+  /// composite (see node.h).
+  Result<std::vector<Bytes>> get_many(NodeId n,
+                                      std::vector<AddressRange> ranges);
+  Status put_many(NodeId n, std::vector<RangeWrite> writes);
 
   // --- observability ----------------------------------------------------
   /// Chrome trace-event JSON of every node's finished spans, merged.

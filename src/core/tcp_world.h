@@ -3,9 +3,9 @@
 // The same Node code as SimWorld, but each node runs on its own executor
 // thread and messages travel through the kernel's TCP stack. TcpClient
 // provides the blocking SyncClient surface by posting each operation onto
-// the node's executor and blocking once for its completion (get/put fold
-// lock + access + unlock into that one visit). Used by the
-// integration tests to demonstrate that the node logic is genuinely
+// the node's executor and blocking once for its completion (get/put and
+// get_many/put_many fold lock + access + unlock into that one visit). Used
+// by the integration tests to demonstrate that the node logic is genuinely
 // transport-agnostic (paper, Section 5: "only the messaging layer is
 // system dependent").
 #pragma once
@@ -116,9 +116,10 @@ class TcpWorld {
 
 /// Blocking SyncClient over a TcpWorld node. Operations are posted to the
 /// node's executor thread and the calling thread blocks once, until the
-/// completion callback fires. get/put make a single such visit: the lock,
-/// the access and the unlock all run on the node (Node::get/put), so the
-/// lock is held only across the access. Not callable from the node's own
+/// completion callback fires. get/put and get_many/put_many make a single
+/// such visit: the locks, the accesses and the unlocks all run on the node
+/// (Node::get_many/put_many), so the locks are held only across the
+/// accesses. Not callable from the node's own
 /// executor thread (the posted job could never run).
 class TcpClient final : public SyncClient {
  public:
@@ -180,6 +181,19 @@ class TcpClient final : public SyncClient {
     return wait<Result<Bytes>>([range](Node& n, auto done) {
       n.get(range, std::move(done));
     });
+  }
+  Result<std::vector<Bytes>> get_many(
+      std::vector<AddressRange> ranges) override {
+    return wait<Result<std::vector<Bytes>>>(
+        [ranges = std::move(ranges)](Node& n, auto done) mutable {
+          n.get_many(std::move(ranges), std::move(done));
+        });
+  }
+  Status put_many(std::vector<RangeWrite> writes) override {
+    return wait<Status>(
+        [writes = std::move(writes)](Node& n, auto done) mutable {
+          n.put_many(std::move(writes), std::move(done));
+        });
   }
   Result<RegionAttrs> getattr(const GlobalAddress& base) override {
     return wait<Result<RegionAttrs>>([base](Node& n, auto done) {

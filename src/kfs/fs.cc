@@ -80,6 +80,11 @@ std::optional<FileSystem::Inode> FileSystem::Inode::decode(Decoder& d) {
   return n;
 }
 
+std::uint64_t FileSystem::max_size(const Inode& inode) {
+  return inode.layout == FileLayout::kContiguous ? inode.contig_capacity
+                                                 : kMaxFileSize;
+}
+
 Result<FileSystem::Inode> FileSystem::load_inode(const GlobalAddress& addr) {
   auto raw = client_->get({addr, kBlockSize});
   if (!raw) return raw.error();
@@ -102,39 +107,35 @@ Status FileSystem::store_inode(const GlobalAddress& addr,
 // Block mapping
 // ---------------------------------------------------------------------------
 
-Result<GlobalAddress> FileSystem::block_addr(const Inode& inode,
-                                             std::uint32_t idx) {
-  if (idx < kDirectBlocks) {
-    if (idx >= inode.direct.size()) return GlobalAddress{};
-    return inode.direct[idx];
+Result<std::vector<GlobalAddress>> FileSystem::block_map(
+    const Inode& inode, std::uint32_t first, std::uint32_t count) {
+  std::vector<GlobalAddress> table;  // the indirect entries, if needed
+  if (first + count > kDirectBlocks && !inode.indirect.is_zero()) {
+    auto raw = client_->get({inode.indirect, kBlockSize});
+    if (!raw) return raw.error();
+    Decoder d(raw.value());
+    table.resize(kIndirectEntries);
+    for (auto& a : table) a = d.addr();
   }
-  const std::uint32_t ind = idx - kDirectBlocks;
-  if (ind >= kIndirectEntries || inode.indirect.is_zero()) {
-    return GlobalAddress{};
+  std::vector<GlobalAddress> out(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint32_t idx = first + i;
+    if (idx < kDirectBlocks) {
+      if (idx < inode.direct.size()) out[i] = inode.direct[idx];
+    } else if (idx - kDirectBlocks < table.size()) {
+      out[i] = table[idx - kDirectBlocks];
+    }
   }
-  auto raw = client_->get({inode.indirect, kBlockSize});
-  if (!raw) return raw.error();
-  Decoder d(raw.value());
-  for (std::uint32_t i = 0; i < ind; ++i) (void)d.addr();
-  return d.addr();
+  return out;
 }
 
-Result<GlobalAddress> FileSystem::ensure_block(
-    Inode& inode, const GlobalAddress& inode_addr, std::uint32_t idx) {
-  (void)inode_addr;
-  auto existing = block_addr(inode, idx);
-  if (!existing) return existing;
-  if (!existing.value().is_zero()) return existing;
-
-  // Allocate a fresh 4 KiB block region with the file's own attributes
-  // ("each block of the filesystem is allocated into a separate
-  // 4-kilobyte region").
-  auto attrs = client_->getattr(inode_addr);
-  RegionAttrs block_attrs = attrs.ok() ? attrs.value() : meta_attrs();
-  block_attrs.page_size = kDefaultPageSize;
-  auto block = client_->create_region(kBlockSize, block_attrs);
+Result<GlobalAddress> FileSystem::add_block(Inode& inode, std::uint32_t idx,
+                                            const RegionAttrs& attrs) {
+  // "each block of the filesystem is allocated into a separate 4-kilobyte
+  // region"
+  if (idx >= kDirectBlocks + kIndirectEntries) return ErrorCode::kNoSpace;
+  auto block = client_->create_region(kBlockSize, attrs);
   if (!block) return block;
-
   if (idx < kDirectBlocks) {
     if (inode.direct.size() <= idx) {
       inode.direct.resize(idx + 1, GlobalAddress{});
@@ -142,8 +143,6 @@ Result<GlobalAddress> FileSystem::ensure_block(
     inode.direct[idx] = block.value();
     return block;
   }
-  const std::uint32_t ind = idx - kDirectBlocks;
-  if (ind >= kIndirectEntries) return ErrorCode::kNoSpace;
   if (inode.indirect.is_zero()) {
     auto indirect = client_->create_region(kBlockSize, meta_attrs());
     if (!indirect) return indirect;
@@ -152,9 +151,9 @@ Result<GlobalAddress> FileSystem::ensure_block(
   // Patch the indirect table in place.
   Encoder e;
   e.addr(block.value());
-  const Status s =
-      client_->put({inode.indirect.plus(ind * 16ull), e.data().size()},
-                   e.data());
+  const std::uint64_t ind = idx - kDirectBlocks;
+  const Status s = client_->put(
+      {inode.indirect.plus(ind * 16ull), e.data().size()}, e.data());
   if (!s.ok()) return s.error();
   return block;
 }
@@ -163,10 +162,12 @@ Status FileSystem::free_block_range(Inode& inode, std::uint32_t first_idx) {
   const std::uint32_t have = static_cast<std::uint32_t>(
       inode.direct.size() +
       (inode.indirect.is_zero() ? 0 : kIndirectEntries));
-  for (std::uint32_t idx = first_idx; idx < have; ++idx) {
-    auto addr = block_addr(inode, idx);
-    if (!addr.ok() || addr.value().is_zero()) continue;
-    (void)client_->unreserve(addr.value());
+  if (first_idx < have) {
+    auto map = block_map(inode, first_idx, have - first_idx);
+    if (!map) return map.error();
+    for (const GlobalAddress& addr : map.value()) {
+      if (!addr.is_zero()) (void)client_->unreserve(addr);
+    }
   }
   if (first_idx < inode.direct.size()) {
     inode.direct.resize(first_idx);
@@ -179,125 +180,130 @@ Status FileSystem::free_block_range(Inode& inode, std::uint32_t first_idx) {
 }
 
 // ---------------------------------------------------------------------------
-// File I/O under an already-held inode lock
+// File I/O
 // ---------------------------------------------------------------------------
 
-Result<Bytes> FileSystem::file_read(const GlobalAddress& inode_addr,
-                                    std::uint64_t offset, std::uint64_t len) {
-  auto inode = load_inode(inode_addr);
-  if (!inode) return inode.error();
-  const Inode& n = inode.value();
-  if (offset >= n.size) return Bytes{};
+Result<Bytes> FileSystem::read_data(const Inode& n, std::uint64_t offset,
+                                    std::uint64_t len) {
+  if (n.size > max_size(n)) return ErrorCode::kCorrupt;
+  if (offset >= n.size || len == 0) return Bytes{};
   len = std::min(len, n.size - offset);
-  if (n.layout == FileLayout::kContiguous) return contig_read(n, offset, len);
-
-  Bytes out(len);
-  std::uint64_t done = 0;
-  while (done < len) {
+  if (n.layout == FileLayout::kContiguous) {
+    // Single lock over the touched range of the one data region.
+    return client_->get({n.contig.plus(offset), len});
+  }
+  const auto first = static_cast<std::uint32_t>(offset / kBlockSize);
+  const auto last = static_cast<std::uint32_t>((offset + len - 1) / kBlockSize);
+  auto map = block_map(n, first, last - first + 1);
+  if (!map) return map.error();
+  std::vector<AddressRange> ranges;
+  std::vector<std::uint64_t> at;  // where each range lands in the output
+  for (std::uint64_t done = 0; done < len;) {
     const std::uint64_t pos = offset + done;
-    const auto idx = static_cast<std::uint32_t>(pos / kBlockSize);
     const std::uint64_t in_block = pos % kBlockSize;
     const std::uint64_t chunk =
         std::min<std::uint64_t>(len - done, kBlockSize - in_block);
-    auto addr = block_addr(n, idx);
-    if (!addr) return addr.error();
-    if (addr.value().is_zero()) {
-      // Hole: reads as zeros.
-      std::fill_n(out.begin() + static_cast<long>(done), chunk, 0);
-    } else {
-      auto data = client_->get({addr.value().plus(in_block), chunk});
-      if (!data) return data.error();
-      std::copy(data.value().begin(), data.value().end(),
-                out.begin() + static_cast<long>(done));
+    const GlobalAddress& block = map.value()[pos / kBlockSize - first];
+    if (!block.is_zero()) {
+      ranges.push_back({block.plus(in_block), chunk});
+      at.push_back(done);
     }
     done += chunk;
+  }
+  Bytes out(len);  // holes read as zeros
+  if (ranges.empty()) return out;
+  // One batch: every block is held at once, and writers put all of theirs
+  // in one batch too, so the read never mixes two writes.
+  auto data = client_->get_many(std::move(ranges));
+  if (!data) return data.error();
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    std::copy(data.value()[i].begin(), data.value()[i].end(),
+              out.begin() + static_cast<long>(at[i]));
   }
   return out;
 }
 
 Status FileSystem::file_write(const GlobalAddress& inode_addr,
                               std::uint64_t offset,
-                              std::span<const std::uint8_t> data) {
-  {
-    auto inode = load_inode(inode_addr);
-    if (!inode) return inode.error();
-    if (inode.value().layout == FileLayout::kContiguous) {
-      return contig_write(inode_addr, inode.value(), offset, data);
-    }
-  }
-  if (offset + data.size() > kMaxFileSize) return ErrorCode::kNoSpace;
+                              std::span<const std::uint8_t> data,
+                              bool exact_size) {
   // The inode write lock serializes concurrent writers (and namespace
   // operations) across all nodes; Khazana's CREW protocol does the actual
   // work.
   auto ictx = client_->lock({inode_addr, kBlockSize}, LockMode::kWrite);
   if (!ictx) return ictx.error();
-  auto raw = client_->read(ictx.value(), 0, kBlockSize);
-  if (!raw) {
-    client_->unlock(ictx.value());
-    return raw.error();
-  }
-  Decoder d(raw.value());
-  auto decoded = Inode::decode(d);
-  if (!decoded) {
-    client_->unlock(ictx.value());
-    return ErrorCode::kCorrupt;
-  }
-  Inode inode = *decoded;
-
-  std::uint64_t done = 0;
-  while (done < data.size()) {
-    const std::uint64_t pos = offset + done;
-    const auto idx = static_cast<std::uint32_t>(pos / kBlockSize);
-    const std::uint64_t in_block = pos % kBlockSize;
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(data.size() - done, kBlockSize - in_block);
-    auto addr = ensure_block(inode, inode_addr, idx);
-    if (!addr) {
-      client_->unlock(ictx.value());
-      return addr.error();
-    }
-    const Status ws = client_->put({addr.value().plus(in_block), chunk},
-                                   data.subspan(done, chunk));
-    if (!ws.ok()) {
-      client_->unlock(ictx.value());
-      return ws;
-    }
-    done += chunk;
-  }
-
-  inode.size = std::max(inode.size, offset + data.size());
-  Encoder e;
-  inode.encode(e);
-  Bytes img = std::move(e).take();
-  img.resize(kBlockSize, 0);
-  const Status s = client_->write(ictx.value(), 0, img);
+  const Status s = write_locked(ictx.value(), offset, data, exact_size);
   client_->unlock(ictx.value());
   return s;
 }
 
-Result<Bytes> FileSystem::contig_read(const Inode& inode,
-                                      std::uint64_t offset,
-                                      std::uint64_t len) {
-  // Single lock over the touched range of the one data region.
-  return client_->get({inode.contig.plus(offset), len});
-}
-
-Status FileSystem::contig_write(const GlobalAddress& inode_addr, Inode inode,
-                                std::uint64_t offset,
-                                std::span<const std::uint8_t> data) {
-  if (offset + data.size() > inode.contig_capacity) {
-    // The paper notes this layout "would require the filesystem to resize
-    // the region whenever the file size changes"; capacity is fixed here.
+Status FileSystem::write_locked(const LockContext& ictx, std::uint64_t offset,
+                                std::span<const std::uint8_t> data,
+                                bool exact_size) {
+  auto raw = client_->read(ictx, 0, kBlockSize);
+  if (!raw) return raw.error();
+  Decoder d(raw.value());
+  auto decoded = Inode::decode(d);
+  if (!decoded) return ErrorCode::kCorrupt;
+  Inode inode = std::move(*decoded);
+  const std::uint64_t cap = max_size(inode);
+  if (offset > cap || data.size() > cap - offset) {
+    // The paper notes the contiguous layout "would require the filesystem
+    // to resize the region whenever the file size changes"; capacity is
+    // fixed here.
     return ErrorCode::kNoSpace;
   }
-  const Status ws = client_->put({inode.contig.plus(offset), data.size()},
-                                 data);
-  if (!ws.ok()) return ws;
-  if (offset + data.size() > inode.size) {
-    inode.size = offset + data.size();
-    return store_inode(inode_addr, inode);
+  if (!data.empty()) {
+    const Status ws =
+        inode.layout == FileLayout::kContiguous
+            ? client_->put({inode.contig.plus(offset), data.size()}, data)
+            : write_blocks(inode, ictx.range.base, offset, data);
+    if (!ws.ok()) return ws;
   }
-  return {};
+  const std::uint64_t end = offset + data.size();
+  inode.size = exact_size ? end : std::max(inode.size, end);
+  Encoder e;
+  inode.encode(e);
+  Bytes img = std::move(e).take();
+  img.resize(kBlockSize, 0);
+  if (img == raw.value()) return {};  // an overwrite: nothing moved
+  return client_->write(ictx, 0, img);
+}
+
+Status FileSystem::write_blocks(Inode& inode, const GlobalAddress& inode_addr,
+                                std::uint64_t offset,
+                                std::span<const std::uint8_t> data) {
+  const auto first = static_cast<std::uint32_t>(offset / kBlockSize);
+  const auto last =
+      static_cast<std::uint32_t>((offset + data.size() - 1) / kBlockSize);
+  auto map = block_map(inode, first, last - first + 1);
+  if (!map) return map.error();
+  std::optional<RegionAttrs> attrs;  // fetched for the first new block
+  for (std::uint32_t i = 0; i < map.value().size(); ++i) {
+    if (!map.value()[i].is_zero()) continue;
+    if (!attrs) {
+      // New blocks take the file's own attributes.
+      auto a = client_->getattr(inode_addr);
+      attrs = a.ok() ? a.value() : meta_attrs();
+      attrs->page_size = kDefaultPageSize;
+    }
+    auto block = add_block(inode, first + i, *attrs);
+    if (!block) return block.error();
+    map.value()[i] = block.value();
+  }
+  std::vector<core::RangeWrite> writes;
+  for (std::uint64_t done = 0; done < data.size();) {
+    const std::uint64_t pos = offset + done;
+    const std::uint64_t in_block = pos % kBlockSize;
+    const std::uint64_t chunk =
+        std::min<std::uint64_t>(data.size() - done, kBlockSize - in_block);
+    const auto bytes = data.subspan(done, chunk);
+    writes.push_back({{map.value()[pos / kBlockSize - first].plus(in_block),
+                       chunk},
+                      Bytes(bytes.begin(), bytes.end())});
+    done += chunk;
+  }
+  return client_->put_many(std::move(writes));
 }
 
 // ---------------------------------------------------------------------------
@@ -308,10 +314,12 @@ Result<std::vector<DirEntry>> FileSystem::read_dir(
     const GlobalAddress& dir_inode) {
   auto inode = load_inode(dir_inode);
   if (!inode) return inode.error();
-  if (inode.value().type != FileType::kDirectory) {
-    return ErrorCode::kBadArgument;
-  }
-  auto raw = file_read(dir_inode, 0, inode.value().size);
+  return dir_entries(inode.value());
+}
+
+Result<std::vector<DirEntry>> FileSystem::dir_entries(const Inode& dir) {
+  if (dir.type != FileType::kDirectory) return ErrorCode::kBadArgument;
+  auto raw = read_data(dir, 0, dir.size);
   if (!raw) return raw.error();
 
   std::vector<DirEntry> entries;
@@ -337,34 +345,9 @@ Status FileSystem::write_dir(const GlobalAddress& dir_inode,
     e.addr(de.inode);
     e.u8(static_cast<std::uint8_t>(de.type));
   }
-  const Bytes img = e.data();
-
-  // Rewrite contents, then shrink the recorded size if the directory got
-  // smaller (file_write only ever grows it).
-  const Status s = file_write(dir_inode, 0, img);
-  if (!s.ok()) return s;
-  auto ictx = client_->lock({dir_inode, kBlockSize}, LockMode::kWrite);
-  if (!ictx) return ictx.error();
-  auto raw = client_->read(ictx.value(), 0, kBlockSize);
-  if (!raw) {
-    client_->unlock(ictx.value());
-    return raw.error();
-  }
-  Decoder d(raw.value());
-  auto decoded = Inode::decode(d);
-  if (!decoded) {
-    client_->unlock(ictx.value());
-    return ErrorCode::kCorrupt;
-  }
-  Inode inode = *decoded;
-  inode.size = img.size();
-  Encoder enc;
-  inode.encode(enc);
-  Bytes out = std::move(enc).take();
-  out.resize(kBlockSize, 0);
-  const Status ws = client_->write(ictx.value(), 0, out);
-  client_->unlock(ictx.value());
-  return ws;
+  // The recorded size becomes the image's, so a directory that lost
+  // entries shrinks.
+  return file_write(dir_inode, 0, e.data(), /*exact_size=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -634,7 +617,7 @@ void FileSystem::fsck_walk(const GlobalAddress& inode_addr,
 
   if (n.type == FileType::kDirectory) {
     ++report.directories;
-    auto entries = read_dir(inode_addr);
+    auto entries = dir_entries(n);
     if (!entries) {
       report.errors.push_back(path + ": undecodable directory contents");
       return;
@@ -656,8 +639,14 @@ void FileSystem::fsck_walk(const GlobalAddress& inode_addr,
 
   ++report.files;
   report.bytes += n.size;
+  if (n.size > max_size(n)) {
+    report.errors.push_back(path + ": size " + std::to_string(n.size) +
+                            " exceeds the layout's maximum " +
+                            std::to_string(max_size(n)));
+    return;
+  }
   if (n.layout == FileLayout::kContiguous) {
-    if (n.contig.is_zero() || n.size > n.contig_capacity) {
+    if (n.contig.is_zero()) {
       report.errors.push_back(path + ": bad contiguous extent");
     } else {
       report.blocks += (n.size + kBlockSize - 1) / kBlockSize;
@@ -670,15 +659,16 @@ void FileSystem::fsck_walk(const GlobalAddress& inode_addr,
   }
   const auto needed_blocks =
       static_cast<std::uint32_t>((n.size + kBlockSize - 1) / kBlockSize);
+  auto map = block_map(n, 0, needed_blocks);
+  if (!map) {
+    report.errors.push_back(path + ": unreadable block map");
+    return;
+  }
   for (std::uint32_t idx = 0; idx < needed_blocks; ++idx) {
-    auto addr = block_addr(n, idx);
-    if (!addr.ok()) {
-      report.errors.push_back(path + ": unreadable block map");
-      break;
-    }
-    if (addr.value().is_zero()) continue;  // hole
+    const GlobalAddress& addr = map.value()[idx];
+    if (addr.is_zero()) continue;  // hole
     ++report.blocks;
-    if (!client_->get({addr.value(), 1}).ok()) {
+    if (!client_->get({addr, 1}).ok()) {
       report.errors.push_back(path + ": block " + std::to_string(idx) +
                               " unreachable");
     }
@@ -708,23 +698,27 @@ Result<FileSystem::FsckReport> FileSystem::fsck() {
 
 Result<Bytes> FileSystem::read(const FileHandle& fh, std::uint64_t offset,
                                std::uint64_t len) {
-  return file_read(fh.inode, offset, len);
+  auto inode = load_inode(fh.inode);
+  if (!inode) return inode.error();
+  return read_data(inode.value(), offset, len);
 }
 
 Status FileSystem::write(const FileHandle& fh, std::uint64_t offset,
                          std::span<const std::uint8_t> data) {
   if (fh.type != FileType::kFile) return ErrorCode::kBadArgument;
-  return file_write(fh.inode, offset, data);
+  return file_write(fh.inode, offset, data, /*exact_size=*/false);
 }
 
 Status FileSystem::truncate(const FileHandle& fh, std::uint64_t new_size) {
   auto inode = load_inode(fh.inode);
   if (!inode) return inode.error();
   Inode n = inode.value();
+  if (new_size > max_size(n)) return ErrorCode::kNoSpace;
   if (new_size < n.size) {
     const auto first_dead = static_cast<std::uint32_t>(
         (new_size + kBlockSize - 1) / kBlockSize);
-    (void)free_block_range(n, first_dead);
+    const Status s = free_block_range(n, first_dead);
+    if (!s.ok()) return s;
   }
   n.size = new_size;
   return store_inode(fh.inode, n);

@@ -18,6 +18,12 @@
 // modes) map directly onto the region attributes of the file's inode and
 // block regions, exactly as the paper's "parameters specified at file
 // creation time" describe.
+//
+// A read fetches the inode, then every block it covers in one batch
+// (SyncClient::get_many), holding all of them at once; a write puts all of
+// its blocks in one batch (put_many) under the inode's write lock. A
+// whole-file read is therefore one consistent batch: it sees every block
+// at the same write, never a mix of two.
 #pragma once
 
 #include <optional>
@@ -108,8 +114,11 @@ class FileSystem {
   // --- file I/O ------------------------------------------------------------
   Result<Bytes> read(const FileHandle& fh, std::uint64_t offset,
                      std::uint64_t len);
+  /// kNoSpace when the write would end past the layout's maximum
+  /// (kMaxFileSize, or a contiguous file's capacity).
   Status write(const FileHandle& fh, std::uint64_t offset,
                std::span<const std::uint8_t> data);
+  /// kNoSpace above the layout's maximum, like write().
   Status truncate(const FileHandle& fh, std::uint64_t new_size);
 
   /// Filesystem integrity report from fsck().
@@ -154,32 +163,33 @@ class FileSystem {
     static std::optional<Inode> decode(Decoder& d);
   };
 
+  /// Largest size the inode's layout can hold: kMaxFileSize for block
+  /// files, the fixed capacity for contiguous ones.
+  static std::uint64_t max_size(const Inode& inode);
   Result<Inode> load_inode(const GlobalAddress& addr);
   Status store_inode(const GlobalAddress& addr, const Inode& inode);
 
-  /// Address of block index `idx` (resolving the indirect block), or
-  /// zero-address if the block is not allocated.
-  Result<GlobalAddress> block_addr(const Inode& inode, std::uint32_t idx);
-  /// Ensures block `idx` exists, allocating block (and indirect) regions
-  /// with the inode's attributes as needed; updates `inode` in memory.
-  Result<GlobalAddress> ensure_block(Inode& inode,
-                                     const GlobalAddress& inode_addr,
-                                     std::uint32_t idx);
+  /// Addresses of blocks [first, first + count), zero-address for a hole.
+  /// Reads the indirect table at most once.
+  Result<std::vector<GlobalAddress>> block_map(const Inode& inode,
+                                               std::uint32_t first,
+                                               std::uint32_t count);
+  /// Allocates block `idx` as a fresh region with `attrs` (and the
+  /// indirect table when needed); updates `inode` in memory.
+  Result<GlobalAddress> add_block(Inode& inode, std::uint32_t idx,
+                                  const core::RegionAttrs& attrs);
   Status free_block_range(Inode& inode, std::uint32_t first_idx);
 
   /// Creates a fresh inode region with `attrs`; returns its address.
   Result<GlobalAddress> alloc_inode(FileType type,
                                     const core::RegionAttrs& attrs,
                                     const FileOptions* opts = nullptr);
-  Result<Bytes> contig_read(const Inode& inode, std::uint64_t offset,
-                            std::uint64_t len);
-  Status contig_write(const GlobalAddress& inode_addr, Inode inode,
-                      std::uint64_t offset,
-                      std::span<const std::uint8_t> data);
 
   // Directory content helpers (directory data lives in the dir's blocks,
   // encoded as a flat entry list).
   Result<std::vector<DirEntry>> read_dir(const GlobalAddress& dir_inode);
+  /// Decodes the entries of an already loaded directory inode.
+  Result<std::vector<DirEntry>> dir_entries(const Inode& dir);
   Status write_dir(const GlobalAddress& dir_inode,
                    const std::vector<DirEntry>& entries);
 
@@ -191,10 +201,22 @@ class FileSystem {
 
   void fsck_walk(const GlobalAddress& inode_addr, const std::string& path,
                  FsckReport& report, int depth);
-  Result<Bytes> file_read(const GlobalAddress& inode_addr,
-                          std::uint64_t offset, std::uint64_t len);
+  /// Reads [offset, offset + len) of a loaded inode's data, clipped to its
+  /// size: the block map once, then every block in one get_many.
+  Result<Bytes> read_data(const Inode& inode, std::uint64_t offset,
+                          std::uint64_t len);
+  /// Writes under the inode's write lock; `exact_size` sets the size to
+  /// offset + data.size() instead of only growing it.
   Status file_write(const GlobalAddress& inode_addr, std::uint64_t offset,
-                    std::span<const std::uint8_t> data);
+                    std::span<const std::uint8_t> data, bool exact_size);
+  Status write_locked(const consistency::LockContext& ictx,
+                      std::uint64_t offset,
+                      std::span<const std::uint8_t> data, bool exact_size);
+  /// Writes a block file's data (allocating missing blocks) in one
+  /// put_many.
+  Status write_blocks(Inode& inode, const GlobalAddress& inode_addr,
+                      std::uint64_t offset,
+                      std::span<const std::uint8_t> data);
 
   core::SyncClient* client_;
   GlobalAddress superblock_;

@@ -11,7 +11,6 @@ using net::MsgType;
 Fabric::Fabric(Host& host, obs::MetricsRegistry& metrics, FabricConfig config)
     : host_(host),
       config_(config),
-      regions_(config.region_cache_capacity),
       cluster_(),
       resolver_(*this, metrics) {
   cluster_.set_free_space_ttl(config_.free_space_ttl);

@@ -39,8 +39,6 @@
 namespace khz::location {
 
 struct FabricConfig {
-  /// Region-directory capacity (descriptors).
-  std::size_t region_cache_capacity = 1024;
   /// Manager-to-manager hint anti-entropy period. 0 disables the exchange
   /// (hints then spread only via client misses, the pre-fabric behaviour).
   Micros hint_sync_interval = 0;

@@ -21,7 +21,13 @@ namespace khz::location {
 
 class RegionDirectory {
  public:
-  explicit RegionDirectory(std::size_t capacity = 1024)
+  /// Descriptors a node caches. Picked from a 2048-16384 sweep on
+  /// perfbench's kfs-webcache, whose client working set is about 2.1k
+  /// regions: at 8192 that workload neither evicts nor asks a manager
+  /// (docs/location.md has the sweep and the memory per descriptor).
+  static constexpr std::size_t kDefaultCapacity = 8192;
+
+  explicit RegionDirectory(std::size_t capacity = kDefaultCapacity)
       : capacity_(capacity) {}
 
   /// Descriptor of the region containing `addr`, if cached.

@@ -66,6 +66,77 @@ TEST_F(CrewTest, WriteLockWaitsForRemoteReaderThenProceeds) {
   world_.unlock(2, wr->value());
 }
 
+TEST_F(CrewTest, WriteLockWaitsForHomeReaderThenProceeds) {
+  // The same rule when the reader is the region's home (node 0): the
+  // home's own holds also delay remote grants.
+  ASSERT_TRUE(world_.put(0, region_, fill(4096, 0x11)).ok());
+  auto rd = world_.lock(0, region_, LockMode::kRead);
+  ASSERT_TRUE(rd.ok());
+
+  std::optional<Result<LockContext>> wr;
+  world_.node(2).lock(region_, LockMode::kWrite,
+                      [&](Result<LockContext> r) { wr = std::move(r); });
+  world_.pump_for(50'000);
+  EXPECT_FALSE(wr.has_value());
+  EXPECT_EQ(world_.read(0, rd.value(), 0, 1).value()[0], 0x11);
+
+  world_.unlock(0, rd.value());
+  world_.pump_until([&] { return wr.has_value(); });
+  ASSERT_TRUE(wr.has_value());
+  ASSERT_TRUE(wr->ok());
+  ASSERT_TRUE(world_.write(2, wr->value(), 0, fill(4096, 0x22)).ok());
+  world_.unlock(2, wr->value());
+  EXPECT_EQ(world_.get(0, region_).value()[0], 0x22);
+}
+
+TEST_F(CrewTest, ReadLockWaitsForHomeWriterThenSeesItsWrite) {
+  // A remote read must not be served from under the home's own write
+  // lock: the reader would keep the pre-write copy after the write.
+  auto wr = world_.lock(0, region_, LockMode::kWrite);
+  ASSERT_TRUE(wr.ok());
+  std::optional<Result<LockContext>> rd;
+  world_.node(1).lock(region_, LockMode::kRead,
+                      [&](Result<LockContext> r) { rd = std::move(r); });
+  world_.pump_for(50'000);
+  EXPECT_FALSE(rd.has_value());
+
+  ASSERT_TRUE(world_.write(0, wr.value(), 0, fill(4096, 0x33)).ok());
+  world_.unlock(0, wr.value());
+  world_.pump_until([&] { return rd.has_value(); });
+  ASSERT_TRUE(rd.has_value());
+  ASSERT_TRUE(rd->ok());
+  EXPECT_EQ(world_.read(1, rd->value(), 0, 1).value()[0], 0x33);
+  world_.unlock(1, rd->value());
+  EXPECT_EQ(world_.get(1, region_).value()[0], 0x33);
+}
+
+TEST_F(CrewTest, InvalidateOvertakingInFlightDataLeavesNoStaleCopy) {
+  // Node 1 owns the page. Node 2's read is served by node 1 directly
+  // (downgrade) over a slow link, so the home's invalidate for node 3's
+  // write reaches node 2 before that data does. The data must not
+  // become a copy the home no longer tracks.
+  ASSERT_TRUE(world_.put(1, region_, fill(4096, 0x44)).ok());
+  net::LinkProfile slow = net::LinkProfile::lan();
+  slow.latency = 20'000;
+  world_.net().set_link(1, 2, slow);
+
+  std::optional<Result<LockContext>> rd;
+  world_.node(2).lock(region_, LockMode::kRead,
+                      [&](Result<LockContext> r) { rd = std::move(r); });
+  world_.pump_for(2'000);  // downgrade done at the home; data in flight
+  ASSERT_FALSE(rd.has_value());
+  ASSERT_TRUE(world_.put(3, region_, fill(4096, 0x55)).ok());
+
+  world_.pump_until([&] { return rd.has_value(); });
+  ASSERT_TRUE(rd.has_value());
+  ASSERT_TRUE(rd->ok());
+  world_.unlock(2, rd->value());
+  world_.net().set_link(1, 2, net::LinkProfile::lan());
+  auto after = world_.get(2, region_);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value()[0], 0x55) << "node 2 kept a stale copy";
+}
+
 TEST_F(CrewTest, LocalWriteWriteConflictQueues) {
   auto w1 = world_.lock(1, region_, LockMode::kWrite);
   ASSERT_TRUE(w1.ok());

@@ -384,5 +384,159 @@ TEST(TcpIntegration, OneVisitStampedGetPutNeverTearAcrossThreads) {
   EXPECT_EQ(bad.load(), 0) << "torn or never-written page read";
 }
 
+// ---------------------------------------------------------------------------
+// Multi-range batches in one visit (Node::get_many/put_many behind TcpClient)
+// ---------------------------------------------------------------------------
+
+TEST(TcpIntegration, WrappingBoundsAreRefusedOnTheExecutor) {
+  // offset + len wraps for each of these. An exception thrown on a node's
+  // executor thread would end the process; each must come back as
+  // kBadArgument, and the node must keep serving.
+  TcpWorld world({.nodes = 3, .base_port = 30430});
+  TcpClient c1(world, 1);
+  auto base = c1.create_region(4096);
+  ASSERT_TRUE(base.ok()) << to_string(base.error());
+  const AddressRange page{base.value(), 4096};
+  ASSERT_TRUE(c1.put(page, fill(4096, 0x21)).ok());
+
+  auto rd = c1.lock(page, LockMode::kRead);
+  ASSERT_TRUE(rd.ok());
+  EXPECT_EQ(c1.read(rd.value(), 1, UINT64_MAX).error(),
+            ErrorCode::kBadArgument);
+  c1.unlock(rd.value());
+  auto wr = c1.lock(page, LockMode::kWrite);
+  ASSERT_TRUE(wr.ok());
+  EXPECT_EQ(c1.write(wr.value(), UINT64_MAX - 3, fill(8, 1)).error(),
+            ErrorCode::kBadArgument);
+  c1.unlock(wr.value());
+  EXPECT_EQ(c1.put_many({{{base.value(), 8}, fill(9, 1)}}).error(),
+            ErrorCode::kBadArgument);
+
+  auto r = c1.get(page);
+  ASSERT_TRUE(r.ok()) << to_string(r.error());
+  EXPECT_EQ(r.value(), fill(4096, 0x21));
+}
+
+TEST(TcpIntegration, BatchesMatchSingleCallsAcrossNodes) {
+  TcpWorld world({.nodes = 3, .base_port = 30440});
+  TcpClient c1(world, 1);
+  TcpClient c2(world, 2);
+  std::vector<AddressRange> ranges;
+  for (int i = 0; i < 3; ++i) {
+    auto base = c1.create_region(8192);
+    ASSERT_TRUE(base.ok()) << to_string(base.error());
+    ranges.push_back({base.value(), 8192});
+  }
+  // One-range batches see the same bytes as get/put.
+  ASSERT_TRUE(c1.put_many({{ranges[0], pattern(8192, 5)}}).ok());
+  auto one = c2.get(ranges[0]);
+  auto many = c2.get_many({ranges[0]});
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(many.ok());
+  EXPECT_EQ(one.value(), pattern(8192, 5));
+  EXPECT_EQ(many.value(), std::vector<Bytes>{pattern(8192, 5)});
+
+  // A three-region batch written on node 2 reads back on node 1, in the
+  // caller's order.
+  std::vector<RangeWrite> writes;
+  for (int i = 2; i >= 0; --i) {
+    writes.push_back({ranges[static_cast<std::size_t>(i)],
+                      pattern(8192, static_cast<std::uint8_t>(10 * i))});
+  }
+  ASSERT_TRUE(c2.put_many(writes).ok());
+  auto got = c1.get_many({ranges[2], ranges[0], ranges[1]});
+  ASSERT_TRUE(got.ok()) << to_string(got.error());
+  EXPECT_EQ(got.value()[0], pattern(8192, 20));
+  EXPECT_EQ(got.value()[1], pattern(8192, 0));
+  EXPECT_EQ(got.value()[2], pattern(8192, 10));
+}
+
+TEST(TcpIntegration, KfsWholeFileReadNeverMixesTwoWrites) {
+  // A writer on node 1 overwrites a 4-block file while readers on node 0
+  // (home of every region) and node 2 read it whole. Writes put every
+  // block in one batch under the inode lock and reads fetch every block in
+  // one batch, so each read returns the blocks of one write. The home
+  // reader needs the home to honour its own holds; the node-2 reader
+  // needs read data that an invalidate overtook to be dropped.
+  TcpWorld world({.nodes = 3, .base_port = 30450});
+  constexpr std::size_t kBlocks = 4;
+  constexpr int kWrites = 300;
+  // Block b of version v: the version in the first word, then a body
+  // derived from (b, v).
+  auto version_image = [](std::uint64_t v) {
+    Bytes img(kBlocks * kfs::kBlockSize);
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+      std::uint8_t* block = img.data() + b * kfs::kBlockSize;
+      std::memcpy(block, &v, sizeof v);
+      for (std::size_t i = sizeof v; i < kfs::kBlockSize; ++i) {
+        block[i] = static_cast<std::uint8_t>(v * 31 + b * 7 + i);
+      }
+    }
+    return img;
+  };
+
+  GlobalAddress super;
+  {
+    TcpClient c0(world, 0);
+    auto sb = kfs::FileSystem::mkfs(c0);
+    ASSERT_TRUE(sb.ok()) << to_string(sb.error());
+    super = sb.value();
+    auto fs = kfs::FileSystem::mount(c0, super);
+    ASSERT_TRUE(fs.ok());
+    auto fh = fs.value().create("/f");
+    ASSERT_TRUE(fh.ok());
+    ASSERT_TRUE(fs.value().write(fh.value(), 0, version_image(0)).ok());
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failed{0};
+  std::thread writer([&] {
+    TcpClient c(world, 1);
+    auto fs = kfs::FileSystem::mount(c, super);
+    auto fh = fs ? fs.value().open("/f") : Result<kfs::FileHandle>{fs.error()};
+    if (!fh) {
+      failed.fetch_add(1);
+      done = true;
+      return;
+    }
+    for (std::uint64_t v = 1; v <= kWrites; ++v) {
+      if (!fs.value().write(fh.value(), 0, version_image(v)).ok()) {
+        failed.fetch_add(1);
+      }
+    }
+    done = true;
+  });
+
+  std::atomic<int> reads{0};
+  std::atomic<int> mixed{0};
+  auto reader = [&](NodeId node) {
+    TcpClient c(world, node);
+    auto fs = kfs::FileSystem::mount(c, super);
+    auto fh = fs ? fs.value().open("/f") : Result<kfs::FileHandle>{fs.error()};
+    if (!fh) {
+      failed.fetch_add(1);
+      return;
+    }
+    for (int n = 0; !done.load() || n == 0; ++n) {
+      auto r = fs.value().read(fh.value(), 0, kBlocks * kfs::kBlockSize);
+      if (!r.ok()) {
+        failed.fetch_add(1);
+        return;
+      }
+      reads.fetch_add(1);
+      std::uint64_t v = 0;
+      std::memcpy(&v, r.value().data(), sizeof v);
+      if (v > kWrites || r.value() != version_image(v)) mixed.fetch_add(1);
+    }
+  };
+  std::thread reader2(reader, NodeId{2});
+  reader(NodeId{0});
+  reader2.join();
+  writer.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(mixed.load(), 0) << "a read returned blocks of two writes";
+}
+
 }  // namespace
 }  // namespace khz::core

@@ -481,5 +481,125 @@ TEST_F(KfsTest, ManyFilesInOneDirectorySpanMultipleBlocks) {
   EXPECT_EQ(entries.value().size(), static_cast<std::size_t>(kFiles));
 }
 
+TEST_F(KfsTest, TruncateRefusesSizesPastTheLayoutMaximum) {
+  auto super = FileSystem::mkfs(client0_);
+  auto fs = FileSystem::mount(client0_, super.value());
+  auto fh = fs.value().create("/big");
+  ASSERT_TRUE(fh.ok());
+  EXPECT_EQ(fs.value().truncate(fh.value(), UINT64_MAX - 10).error(),
+            ErrorCode::kNoSpace);
+  EXPECT_EQ(fs.value().truncate(fh.value(), kMaxFileSize + 1).error(),
+            ErrorCode::kNoSpace);
+  // Exactly at the limit is a legal sparse file that reads as zeros.
+  ASSERT_TRUE(fs.value().truncate(fh.value(), kMaxFileSize).ok());
+  auto all = fs.value().read(fh.value(), 0, UINT64_MAX);
+  ASSERT_TRUE(all.ok()) << to_string(all.error());
+  EXPECT_EQ(all.value(), Bytes(kMaxFileSize, 0));
+
+  FileOptions contig;
+  contig.layout = FileLayout::kContiguous;
+  contig.contiguous_capacity = 8192;
+  auto ch = fs.value().create("/c", contig);
+  ASSERT_TRUE(ch.ok());
+  EXPECT_EQ(fs.value().truncate(ch.value(), 8193).error(),
+            ErrorCode::kNoSpace);
+  EXPECT_TRUE(fs.value().truncate(ch.value(), 8192).ok());
+
+  auto report = fs.value().fsck();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.value().clean()) << report.value().errors.front();
+}
+
+TEST_F(KfsTest, WritesEndingPastTheLayoutMaximumAreNoSpace) {
+  auto super = FileSystem::mkfs(client0_);
+  auto fs = FileSystem::mount(client0_, super.value());
+  auto fh = fs.value().create("/f");
+  ASSERT_TRUE(fh.ok());
+  ASSERT_TRUE(fs.value().write(fh.value(), 0, blob(100)).ok());
+  // offset + size wraps past 2^64 for the first two.
+  EXPECT_EQ(fs.value().write(fh.value(), UINT64_MAX - 2, blob(10)).error(),
+            ErrorCode::kNoSpace);
+  EXPECT_EQ(fs.value().write(fh.value(), UINT64_MAX, blob(1)).error(),
+            ErrorCode::kNoSpace);
+  EXPECT_EQ(fs.value().write(fh.value(), kMaxFileSize - 5, blob(10)).error(),
+            ErrorCode::kNoSpace);
+
+  FileOptions contig;
+  contig.layout = FileLayout::kContiguous;
+  contig.contiguous_capacity = 8192;
+  auto ch = fs.value().create("/c", contig);
+  ASSERT_TRUE(ch.ok());
+  EXPECT_EQ(fs.value().write(ch.value(), UINT64_MAX - 2, blob(10)).error(),
+            ErrorCode::kNoSpace);
+
+  EXPECT_EQ(fs.value().stat("/f").value().size, 100u);
+  EXPECT_EQ(fs.value().stat("/c").value().size, 0u);
+  auto report = fs.value().fsck();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.value().clean());
+}
+
+TEST_F(KfsTest, FsckReportsSizePastTheLayoutMaximum) {
+  auto super = FileSystem::mkfs(client0_);
+  auto fs = FileSystem::mount(client0_, super.value());
+  auto fh = fs.value().create("/victim");
+  ASSERT_TRUE(fh.ok());
+  ASSERT_TRUE(fs.value().write(fh.value(), 0, blob(5000)).ok());
+  // The inode image holds the size as a little-endian u64 after the
+  // magic, type and layout bytes; set it far past kMaxFileSize.
+  const std::uint64_t huge = UINT64_MAX - 10;
+  Bytes le(8);
+  for (int i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(huge >> 8 * i);
+  ASSERT_TRUE(world_.put(0, {fh.value().inode.plus(6), 8}, le).ok());
+
+  auto report = fs.value().fsck();
+  ASSERT_TRUE(report.ok());
+  ASSERT_FALSE(report.value().clean());
+  EXPECT_NE(report.value().errors.front().find("exceeds the layout's maximum"),
+            std::string::npos)
+      << report.value().errors.front();
+  // A read of the damaged file is refused, not attempted.
+  EXPECT_EQ(fs.value().read(fh.value(), 0, UINT64_MAX).error(),
+            ErrorCode::kCorrupt);
+}
+
+TEST_F(KfsTest, ReadsLoadTheInodeOnceAndFetchBlocksInOneBatch) {
+  auto super = FileSystem::mkfs(client0_);
+  auto fs0 = FileSystem::mount(client0_, super.value());
+  auto fh = fs0.value().create("/f");
+  ASSERT_TRUE(fh.ok());
+  const Bytes data = blob(4 * kBlockSize, 3);
+  ASSERT_TRUE(fs0.value().write(fh.value(), 0, data).ok());
+  // Four more blocks straddling the direct/indirect boundary.
+  const std::uint64_t edge = (kDirectBlocks - 2) * std::uint64_t{kBlockSize};
+  ASSERT_TRUE(fs0.value().write(fh.value(), edge, data).ok());
+
+  auto fs1 = FileSystem::mount(client1_, super.value());
+  ASSERT_TRUE(fs1.ok());
+  auto& ranges = world_.node(1).metrics().histogram("op.lock.ranges");
+  const auto lock_ops = [&] { return ranges.snapshot().count; };
+
+  // A whole-file read: the inode, then all four blocks in one lock op.
+  auto before = lock_ops();
+  auto got = fs1.value().read(fh.value(), 0, 4 * kBlockSize);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), data);
+  EXPECT_EQ(lock_ops() - before, 2u);
+  EXPECT_EQ(ranges.snapshot().max, 4u);
+
+  // Past the direct blocks: the indirect table is read once, not once per
+  // block.
+  before = lock_ops();
+  got = fs1.value().read(fh.value(), edge, 4 * kBlockSize);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), data);
+  EXPECT_EQ(lock_ops() - before, 3u);
+
+  // Listing a directory loads its inode once.
+  before = lock_ops();
+  ASSERT_TRUE(fs1.value().readdir("/").ok());
+  EXPECT_EQ(lock_ops() - before, 2u);
+}
+
 }  // namespace
 }  // namespace khz::kfs

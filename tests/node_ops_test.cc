@@ -84,6 +84,46 @@ TEST(NodeOps, ReadWriteValidateLockContext) {
             ErrorCode::kBadLock);
 }
 
+TEST(NodeOps, ReadBoundsCheckDoesNotWrap) {
+  // offset + len wraps past 2^64 for these; each must be refused, not
+  // allocated (a UINT64_MAX-byte buffer throws std::length_error).
+  SimWorld world({.nodes = 1});
+  auto base = world.create_region(0, 8192);
+  ASSERT_TRUE(base.ok());
+  auto rd = world.lock(0, {base.value(), 8192}, LockMode::kRead);
+  ASSERT_TRUE(rd.ok());
+  EXPECT_EQ(world.read(0, rd.value(), 1, UINT64_MAX).error(),
+            ErrorCode::kBadArgument);
+  EXPECT_EQ(world.read(0, rd.value(), UINT64_MAX, 2).error(),
+            ErrorCode::kBadArgument);
+  EXPECT_EQ(world.read(0, rd.value(), 8193, 0).error(),
+            ErrorCode::kBadArgument);
+  // The exact end is still in bounds.
+  EXPECT_TRUE(world.read(0, rd.value(), 8192, 0).ok());
+  EXPECT_EQ(world.read(0, rd.value(), 4096, 4096).value().size(), 4096u);
+  world.unlock(0, rd.value());
+}
+
+TEST(NodeOps, WriteBoundsCheckDoesNotWrap) {
+  SimWorld world({.nodes = 1});
+  auto base = world.create_region(0, 8192);
+  ASSERT_TRUE(base.ok());
+  auto wr = world.lock(0, {base.value(), 8192}, LockMode::kWrite);
+  ASSERT_TRUE(wr.ok());
+  const Bytes ten = fill(10, 7);
+  EXPECT_EQ(world.write(0, wr.value(), UINT64_MAX - 5, ten).error(),
+            ErrorCode::kBadArgument);
+  EXPECT_EQ(world.write(0, wr.value(), UINT64_MAX, ten).error(),
+            ErrorCode::kBadArgument);
+  EXPECT_EQ(world.write(0, wr.value(), 8190, ten).error(),
+            ErrorCode::kBadArgument);
+  EXPECT_TRUE(world.write(0, wr.value(), 8182, ten).ok());
+  world.unlock(0, wr.value());
+  auto got = world.get(0, {base.value().plus(8182), 10});
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), ten);
+}
+
 TEST(NodeOps, AclDeniesWritesToReadOnlyRegions) {
   SimWorld world({.nodes = 2});
   RegionAttrs attrs;
