@@ -19,15 +19,48 @@
 // block regions, exactly as the paper's "parameters specified at file
 // creation time" describe.
 //
-// A read fetches the inode, then every block it covers in one batch
-// (SyncClient::get_many), holding all of them at once; a write puts all of
-// its blocks in one batch (put_many) under the inode's write lock. A
-// whole-file read is therefore one consistent batch: it sees every block
-// at the same write, never a mix of two.
+// Lookups in one validated batch. A mount remembers, up to
+// kLookupCacheEntries ranges, the inode images (with their indirect
+// tables) and directory entries it last fetched. The cache is a guess,
+// never an answer: a path lookup (open, stat, readdir, and the parent
+// walk of every namespace operation) runs its walk from the root over
+// the cached bytes to guess every inode and data range it will read, and
+// fetches them all in one get_many. It accepts the answer only if
+// re-walking the fetched bytes asks for exactly the ranges that were
+// fetched; otherwise it refreshes the cache from the fetched bytes and
+// tries again, and a batch that fails is retried once with no guess from
+// the cache. A warm lookup is one visit; a cold one costs the per-level
+// visits an uncached descent costs.
+//
+// A read is two rounds: the inode (with its indirect table), then every
+// block it names in one get_many. File data never shares a batch with its
+// inode (docs/api.md, "KFS limitations").
+//
+// Lock order. get_many takes its holds in ascending address order, while
+// a KFS writer holds an inode's write lock before it takes that inode's
+// data (blocks, indirect table, directory contents). A batch therefore
+// holds an inode together with its data only when that data sorts above
+// the inode; data below its inode goes in a later round, after the
+// round that fetched the inode. Writers never hold two inode locks at
+// once (a directory update locks only that directory), which is what
+// keeps every wait ordered. A stale guess can still name an address that
+// has since been freed and reused for other data: validation keeps the
+// answer correct, but the batch's read holds are taken before validation,
+// so such a batch may wait on an unrelated writer (docs/api.md, "KFS
+// limitations"). A mount drops the cached bytes of every region it frees
+// itself.
+//
+// A mount is used by one thread at a time: the cache has no lock.
+//
+// A write puts all of its blocks in one batch (put_many) under the
+// inode's write lock, and a read fetches all of its blocks in one batch,
+// so a whole-file read never mixes two writes.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/client.h"
@@ -41,6 +74,10 @@ inline constexpr std::uint32_t kIndirectEntries = kBlockSize / 16;
 inline constexpr std::uint64_t kMaxFileSize =
     static_cast<std::uint64_t>(kDirectBlocks + kIndirectEntries) * kBlockSize;
 inline constexpr std::size_t kMaxNameLen = 255;
+/// Ranges (inode images, indirect tables, directory contents) a mount
+/// keeps as guesses for its lookups. It holds the inodes and directories
+/// of a few hundred hot files; past it, an arbitrary entry is dropped.
+inline constexpr std::size_t kLookupCacheEntries = 1024;
 
 enum class FileType : std::uint8_t { kFile = 1, kDirectory = 2 };
 
@@ -161,13 +198,50 @@ class FileSystem {
 
     void encode(Encoder& e) const;
     static std::optional<Inode> decode(Decoder& d);
+    /// The encoding padded to the inode's 4 KiB region.
+    [[nodiscard]] Bytes image() const;
   };
+
+  /// One lookup's reads (defined in fs.cc): what it has validated, the
+  /// batch it fetched last, and the mount's cache as the guess for the
+  /// rest.
+  class Walk;
+  /// A walk: a function of the bytes it reads through the Walk, run once
+  /// to guess and once to check each batch. It leaves its answer in
+  /// variables it captures.
+  using WalkFn = std::function<Status(Walk&)>;
+
+  /// What a path names, and the directory that holds it (zero for "/").
+  struct Found {
+    GlobalAddress parent;
+    DirEntry entry;
+    Inode inode;                    // with Want::kInode
+    std::vector<DirEntry> entries;  // with Want::kEntries, for a directory
+  };
+  enum class Want : std::uint8_t { kEntry, kInode, kEntries };
 
   /// Largest size the inode's layout can hold: kMaxFileSize for block
   /// files, the fixed capacity for contiguous ones.
   static std::uint64_t max_size(const Inode& inode);
+
+  /// Runs `walk` over batches fetched with get_many until one batch holds
+  /// exactly the ranges the walk reads (see the file comment).
+  Status run(Walk& w, const WalkFn& walk);
+  /// Descends from the root along `path`. With `leaf`, stops at the
+  /// directory that would hold the last component (returned as the
+  /// entry) and stores that component in `*leaf`.
+  Result<Found> lookup(const std::string& path, Want want,
+                       std::string* leaf = nullptr);
   Result<Inode> load_inode(const GlobalAddress& addr);
-  Status store_inode(const GlobalAddress& addr, const Inode& inode);
+
+  /// The mount's cache of lookup guesses.
+  struct Cached {
+    std::uint64_t size = 0;  // the range's size
+    Bytes bytes;             // its leading bytes that a walk reads
+  };
+  void remember(const AddressRange& range, std::span<const std::uint8_t> bytes);
+  /// unreserve() that also drops the region's cached bytes.
+  void release(const GlobalAddress& base);
 
   /// Addresses of blocks [first, first + count), zero-address for a hole.
   /// Reads the indirect table at most once.
@@ -179,39 +253,42 @@ class FileSystem {
   Result<GlobalAddress> add_block(Inode& inode, std::uint32_t idx,
                                   const core::RegionAttrs& attrs);
   Status free_block_range(Inode& inode, std::uint32_t first_idx);
+  /// Frees a file's or directory's blocks, then its inode region.
+  void free_inode(const GlobalAddress& addr);
 
   /// Creates a fresh inode region with `attrs`; returns its address.
   Result<GlobalAddress> alloc_inode(FileType type,
                                     const core::RegionAttrs& attrs,
                                     const FileOptions* opts = nullptr);
+  /// Adds `path` as a new file or directory.
+  Result<FileHandle> add_entry(const std::string& path, FileType type,
+                               const core::RegionAttrs& attrs,
+                               const FileOptions* opts);
 
-  // Directory content helpers (directory data lives in the dir's blocks,
-  // encoded as a flat entry list).
-  Result<std::vector<DirEntry>> read_dir(const GlobalAddress& dir_inode);
-  /// Decodes the entries of an already loaded directory inode.
-  Result<std::vector<DirEntry>> dir_entries(const Inode& dir);
-  Status write_dir(const GlobalAddress& dir_inode,
-                   const std::vector<DirEntry>& entries);
-
-  /// Resolves `path` by recursive descent from the root. When
-  /// `want_parent` is true, returns the parent directory's inode and
-  /// stores the final component in `leaf`.
-  Result<GlobalAddress> resolve(const std::string& path, bool want_parent,
-                                std::string* leaf);
+  /// Runs `body` under a `mode` lock on the inode at `addr`, with the
+  /// inode image read under that lock; unlocks whatever `body` returns.
+  Status with_inode_locked(
+      const GlobalAddress& addr, consistency::LockMode mode,
+      const std::function<Status(const consistency::LockContext&,
+                                 const Bytes&)>& body);
+  /// Read-modify-write of a directory's entries under its inode's write
+  /// lock: `change` edits the entries, or returns an error and nothing is
+  /// written.
+  Status update_dir(
+      const GlobalAddress& dir,
+      const std::function<Status(std::vector<DirEntry>&)>& change);
 
   void fsck_walk(const GlobalAddress& inode_addr, const std::string& path,
                  FsckReport& report, int depth);
-  /// Reads [offset, offset + len) of a loaded inode's data, clipped to its
-  /// size: the block map once, then every block in one get_many.
-  Result<Bytes> read_data(const Inode& inode, std::uint64_t offset,
-                          std::uint64_t len);
-  /// Writes under the inode's write lock; `exact_size` sets the size to
-  /// offset + data.size() instead of only growing it.
-  Status file_write(const GlobalAddress& inode_addr, std::uint64_t offset,
-                    std::span<const std::uint8_t> data, bool exact_size);
-  Status write_locked(const consistency::LockContext& ictx,
+  /// Writes under the inode's write lock (`raw` is the image read under
+  /// it); `exact_size` sets the size to offset + data.size() instead of
+  /// only growing it.
+  Status write_locked(const consistency::LockContext& ictx, const Bytes& raw,
                       std::uint64_t offset,
                       std::span<const std::uint8_t> data, bool exact_size);
+  /// Stores `inode` under its write lock unless it still equals `raw`.
+  Status store_locked(const consistency::LockContext& ictx, const Bytes& raw,
+                      const Inode& inode);
   /// Writes a block file's data (allocating missing blocks) in one
   /// put_many.
   Status write_blocks(Inode& inode, const GlobalAddress& inode_addr,
@@ -221,6 +298,7 @@ class FileSystem {
   core::SyncClient* client_;
   GlobalAddress superblock_;
   GlobalAddress root_inode_;
+  std::unordered_map<GlobalAddress, Cached> cache_;
 };
 
 /// Splits "/a/b/c" into components; rejects empty names and names over

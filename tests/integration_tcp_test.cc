@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <set>
@@ -536,6 +537,195 @@ TEST(TcpIntegration, KfsWholeFileReadNeverMixesTwoWrites) {
   EXPECT_EQ(failed.load(), 0);
   EXPECT_GT(reads.load(), 0);
   EXPECT_EQ(mixed.load(), 0) << "a read returned blocks of two writes";
+}
+
+TEST(TcpIntegration, KfsConcurrentCreatesInOneDirectoryAllSurvive) {
+  // Nodes 1 and 2 create 40 files each in one directory at once. Every
+  // create reads and rewrites the directory under its inode's write lock,
+  // so none overwrites an entry another create added.
+  TcpWorld world({.nodes = 3, .base_port = 30460});
+  constexpr int kPerNode = 40;
+  GlobalAddress super;
+  {
+    TcpClient c0(world, 0);
+    auto sb = kfs::FileSystem::mkfs(c0);
+    ASSERT_TRUE(sb.ok()) << to_string(sb.error());
+    super = sb.value();
+    auto fs = kfs::FileSystem::mount(c0, super);
+    ASSERT_TRUE(fs.ok());
+    ASSERT_TRUE(fs.value().mkdir("/d").ok());
+  }
+  std::atomic<int> failed{0};
+  auto creator = [&](NodeId node) {
+    TcpClient c(world, node);
+    auto fs = kfs::FileSystem::mount(c, super);
+    if (!fs) {
+      failed.fetch_add(kPerNode);
+      return;
+    }
+    for (int i = 0; i < kPerNode; ++i) {
+      const std::string path =
+          "/d/n" + std::to_string(node) + "_" + std::to_string(i);
+      if (!fs.value().create(path).ok()) failed.fetch_add(1);
+    }
+  };
+  std::thread other(creator, NodeId{2});
+  creator(NodeId{1});
+  other.join();
+  EXPECT_EQ(failed.load(), 0);
+
+  TcpClient c0(world, 0);
+  auto fs = kfs::FileSystem::mount(c0, super);
+  ASSERT_TRUE(fs.ok());
+  auto entries = fs.value().readdir("/d");
+  ASSERT_TRUE(entries.ok());
+  std::set<std::string> names;
+  for (const auto& e : entries.value()) names.insert(e.name);
+  EXPECT_EQ(names.size(), 2u * kPerNode);
+  EXPECT_EQ(entries.value().size(), 2u * kPerNode);
+  auto report = fs.value().fsck();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.value().clean());
+  EXPECT_EQ(report.value().files, 2u * kPerNode);
+}
+
+TEST(TcpIntegration, KfsTruncateNeverFailsAConcurrentWriteOrRead) {
+  // A writer on node 1 rewrites an 8-block file while node 2 keeps
+  // truncating it to one block and node 0 keeps reading it. truncate
+  // frees blocks under the inode's write lock, so a write never lands in
+  // a freed block, and a read that finds its blocks freed retries, last
+  // under the inode's read lock.
+  TcpWorld world({.nodes = 3, .base_port = 30470});
+  constexpr std::size_t kFull = 8 * kfs::kBlockSize;
+  constexpr int kWrites = 200;
+  GlobalAddress super;
+  kfs::FileHandle fh;
+  {
+    TcpClient c0(world, 0);
+    auto sb = kfs::FileSystem::mkfs(c0);
+    ASSERT_TRUE(sb.ok()) << to_string(sb.error());
+    super = sb.value();
+    auto fs = kfs::FileSystem::mount(c0, super);
+    ASSERT_TRUE(fs.ok());
+    auto f = fs.value().create("/f");
+    ASSERT_TRUE(f.ok());
+    fh = f.value();
+    ASSERT_TRUE(fs.value().write(fh, 0, pattern(kFull, 0)).ok());
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> failed{0};
+  std::atomic<int> ops{0};
+  std::thread writer([&] {
+    TcpClient c(world, 1);
+    auto fs = kfs::FileSystem::mount(c, super);
+    for (int v = 1; v <= kWrites && fs; ++v) {
+      const Status s =
+          fs.value().write(fh, 0, pattern(kFull, static_cast<std::uint8_t>(v)));
+      if (!s.ok()) failed.fetch_add(1);
+    }
+    if (!fs) failed.fetch_add(1);
+    done = true;
+  });
+  std::thread truncater([&] {
+    TcpClient c(world, 2);
+    auto fs = kfs::FileSystem::mount(c, super);
+    while (fs && !done.load()) {
+      if (!fs.value().truncate(fh, kfs::kBlockSize).ok()) failed.fetch_add(1);
+      ops.fetch_add(1);
+    }
+    if (!fs) failed.fetch_add(1);
+  });
+  {
+    TcpClient c(world, 0);
+    auto fs = kfs::FileSystem::mount(c, super);
+    if (!fs) failed.fetch_add(1);
+    while (fs && !done.load()) {
+      auto r = fs.value().read(fh, 0, kFull);
+      if (!r.ok()) {
+        failed.fetch_add(1);
+      } else if (r.value().size() != kfs::kBlockSize &&
+                 r.value().size() != kFull) {
+        failed.fetch_add(1);
+      }
+      ops.fetch_add(1);
+    }
+  }
+  writer.join();
+  truncater.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_GT(ops.load(), 0);
+
+  TcpClient c1(world, 1);
+  auto fs = kfs::FileSystem::mount(c1, super);
+  ASSERT_TRUE(fs.ok());
+  auto report = fs.value().fsck();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.value().clean())
+      << (report.value().errors.empty() ? "" : report.value().errors[0]);
+}
+
+TEST(TcpIntegration, KfsBlocksBelowTheirInodeNeverStallReaders) {
+  // get_many takes holds in ascending address order; a writer holds the
+  // inode before it takes the blocks. When the blocks sort below the
+  // inode, a read that batched the inode with them would hold a block
+  // while waiting on the writer's inode lock, and the writer would wait
+  // on that block. Reads fetch the inode and its blocks in separate
+  // rounds, so both sides keep going.
+  TcpWorld world({.nodes = 3, .base_port = 30480});
+  GlobalAddress super;
+  kfs::FileHandle fh;
+  const Bytes image = pattern(4 * kfs::kBlockSize, 9);
+  {
+    // Node 1 takes its pool chunk first, so its regions sort lowest.
+    TcpClient c1(world, 1);
+    auto sb = kfs::FileSystem::mkfs(c1);
+    ASSERT_TRUE(sb.ok()) << to_string(sb.error());
+    super = sb.value();
+    TcpClient c2(world, 2);
+    auto fs2 = kfs::FileSystem::mount(c2, super);
+    ASSERT_TRUE(fs2.ok());
+    auto f = fs2.value().create("/f");  // the inode, in node 2's chunk
+    ASSERT_TRUE(f.ok());
+    fh = f.value();
+    auto fs1 = kfs::FileSystem::mount(c1, super);
+    ASSERT_TRUE(fs1.ok());
+    ASSERT_TRUE(fs1.value().write(fh, 0, image).ok());  // blocks in node 1's
+  }
+  // Both keep going until each has done kMinOps, which takes well under a
+  // second; a stall leaves them at a few ops when the deadline passes.
+  constexpr int kMinOps = 1000;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::atomic<int> reads{0};
+  std::atomic<int> writes{0};
+  std::atomic<int> failed{0};
+  const auto running = [&] {
+    return (reads.load() < kMinOps || writes.load() < kMinOps) &&
+           std::chrono::steady_clock::now() < deadline;
+  };
+  std::thread writer([&] {
+    TcpClient c(world, 1);
+    auto fs = kfs::FileSystem::mount(c, super);
+    while (fs && running()) {
+      if (!fs.value().write(fh, 0, image).ok()) failed.fetch_add(1);
+      writes.fetch_add(1);
+    }
+    if (!fs) failed.fetch_add(1);
+  });
+  {
+    TcpClient c(world, 0);
+    auto fs = kfs::FileSystem::mount(c, super);
+    while (fs && running()) {
+      auto r = fs.value().read(fh, 0, image.size());
+      if (!r.ok() || r.value() != image) failed.fetch_add(1);
+      reads.fetch_add(1);
+    }
+    if (!fs) failed.fetch_add(1);
+  }
+  writer.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_GE(reads.load(), kMinOps);
+  EXPECT_GE(writes.load(), kMinOps);
 }
 
 }  // namespace

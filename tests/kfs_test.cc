@@ -3,6 +3,8 @@
 // and per-file attribute control.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "kfs/fs.h"
 
 namespace khz::kfs {
@@ -587,18 +589,248 @@ TEST_F(KfsTest, ReadsLoadTheInodeOnceAndFetchBlocksInOneBatch) {
   EXPECT_EQ(lock_ops() - before, 2u);
   EXPECT_EQ(ranges.snapshot().max, 4u);
 
-  // Past the direct blocks: the indirect table is read once, not once per
-  // block.
+  // Read again: still the inode, then the blocks. File data never shares
+  // a batch with its inode (docs/api.md, "KFS limitations").
   before = lock_ops();
-  got = fs1.value().read(fh.value(), edge, 4 * kBlockSize);
+  got = fs1.value().read(fh.value(), 0, 4 * kBlockSize);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), data);
+  EXPECT_EQ(lock_ops() - before, 2u);
+
+  // Past the direct blocks on a fresh mount: the indirect table is read
+  // once, not once per block. Warm, the cached table rides with the
+  // inode.
+  auto fs2 = FileSystem::mount(client1_, super.value());
+  ASSERT_TRUE(fs2.ok());
+  before = lock_ops();
+  got = fs2.value().read(fh.value(), edge, 4 * kBlockSize);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), data);
   EXPECT_EQ(lock_ops() - before, 3u);
-
-  // Listing a directory loads its inode once.
   before = lock_ops();
-  ASSERT_TRUE(fs1.value().readdir("/").ok());
+  got = fs2.value().read(fh.value(), edge, 4 * kBlockSize);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), data);
   EXPECT_EQ(lock_ops() - before, 2u);
+
+  // Listing a directory loads its inode once: cold, the inode and then
+  // the inode with its entries; warm, one lock op.
+  before = lock_ops();
+  ASSERT_TRUE(fs2.value().readdir("/").ok());
+  EXPECT_EQ(lock_ops() - before, 2u);
+  before = lock_ops();
+  ASSERT_TRUE(fs2.value().readdir("/").ok());
+  EXPECT_EQ(lock_ops() - before, 1u);
+}
+
+TEST_F(KfsTest, WarmLookupsAreOneLockOpAndColdOnesOnePerLevel) {
+  auto super = FileSystem::mkfs(client0_);
+  auto fs0 = FileSystem::mount(client0_, super.value());
+  ASSERT_TRUE(fs0.value().mkdir("/d").ok());
+  auto fh = fs0.value().create("/d/f");
+  ASSERT_TRUE(fh.ok());
+  const Bytes data = blob(2 * kBlockSize + 10, 5);
+  ASSERT_TRUE(fs0.value().write(fh.value(), 0, data).ok());
+
+  auto& ranges = world_.node(1).metrics().histogram("op.lock.ranges");
+  const auto lock_ops = [&] { return ranges.snapshot().count; };
+  const auto cost = [&](auto&& op) {
+    const auto before = lock_ops();
+    op();
+    return lock_ops() - before;
+  };
+  auto fs1 = FileSystem::mount(client1_, super.value());
+  ASSERT_TRUE(fs1.ok());
+  FileSystem& fs = fs1.value();
+
+  // Cold, a descent costs what an uncached one does: each level's inode,
+  // then its contents.
+  EXPECT_EQ(cost([&] { ASSERT_TRUE(fs.open("/d/f").ok()); }), 4u);
+  // Warm, the whole descent is one batch.
+  EXPECT_EQ(cost([&] { ASSERT_TRUE(fs.open("/d/f").ok()); }), 1u);
+  // A read is the inode, then its blocks.
+  EXPECT_EQ(cost([&] {
+              auto r = fs.read(fh.value(), 0, data.size());
+              ASSERT_TRUE(r.ok());
+              EXPECT_EQ(r.value(), data);
+            }),
+            2u);
+  // A warm open plus a whole-file read: three lock ops in all, against
+  // six for an uncached descent.
+  EXPECT_EQ(cost([&] {
+              auto h = fs.open("/d/f");
+              ASSERT_TRUE(h.ok());
+              auto r = fs.read(h.value(), 0, data.size());
+              ASSERT_TRUE(r.ok());
+              EXPECT_EQ(r.value(), data);
+            }),
+            3u);
+  EXPECT_EQ(cost([&] { ASSERT_TRUE(fs.stat("/d/f").ok()); }), 1u);
+  EXPECT_EQ(cost([&] { ASSERT_TRUE(fs.readdir("/d").ok()); }), 1u);
+
+  // Cold stat and readdir on a fresh mount: open's four, then stat's
+  // inode; readdir's two levels.
+  auto fs2 = FileSystem::mount(client1_, super.value());
+  ASSERT_TRUE(fs2.ok());
+  EXPECT_EQ(cost([&] {
+              auto st = fs2.value().stat("/d/f");
+              ASSERT_TRUE(st.ok());
+              EXPECT_EQ(st.value().size, data.size());
+            }),
+            5u);
+  auto fs3 = FileSystem::mount(client1_, super.value());
+  ASSERT_TRUE(fs3.ok());
+  EXPECT_EQ(cost([&] { ASSERT_TRUE(fs3.value().readdir("/d").ok()); }), 4u);
+}
+
+TEST_F(KfsTest, DataBelowItsInodeComesInALaterRound) {
+  // Node 1 takes its pool chunk first, so its regions sort lowest. /d is
+  // made on node 2; node 1 grows it past one block, so that block sorts
+  // below /d's inode. A writer holds the inode before the data, so a
+  // lookup fetches that block in a round after the one with the inode.
+  SimClient client2(world_, 2);
+  auto super = FileSystem::mkfs(client1_);
+  ASSERT_TRUE(super.ok());
+  auto fs2 = FileSystem::mount(client2, super.value());
+  ASSERT_TRUE(fs2.value().mkdir("/d").ok());
+  ASSERT_TRUE(fs2.value().create("/d/x").ok());
+  auto fs1 = FileSystem::mount(client1_, super.value());
+  for (int i = 0; i < 150; ++i) {
+    ASSERT_TRUE(fs1.value().create("/d/entry_" + std::to_string(i)).ok());
+  }
+  auto fs0 = FileSystem::mount(client0_, super.value());
+  ASSERT_TRUE(fs0.value().open("/d/x").ok());
+  auto& ranges = world_.node(0).metrics().histogram("op.lock.ranges");
+  const auto before = ranges.snapshot().count;
+  ASSERT_TRUE(fs0.value().open("/d/x").ok());
+  EXPECT_EQ(ranges.snapshot().count - before, 2u);
+}
+
+TEST_F(KfsTest, StaleLookupCacheIsNeverServed) {
+  // fs1 caches what it looks up; fs0, on another node, changes it behind
+  // fs1's back. After each change fs1 answers what a fresh mount does.
+  auto super = FileSystem::mkfs(client0_);
+  auto fs0 = FileSystem::mount(client0_, super.value());
+  auto fs1 = FileSystem::mount(client1_, super.value());
+  FileSystem& writer = fs0.value();
+  FileSystem& cached = fs1.value();
+  SimClient client2(world_, 2);
+  const auto fresh = [&] {
+    return FileSystem::mount(client2, super.value()).value();
+  };
+  const auto names = [](const Result<std::vector<DirEntry>>& list) {
+    std::set<std::string> out;
+    for (const auto& e : list.value()) out.insert(e.name);
+    return out;
+  };
+  // Looks `path` up through fs1, then checks it against a fresh mount.
+  const auto expect_fresh = [&](const std::string& path) {
+    FileSystem f = fresh();
+    auto want = f.open(path);
+    auto got = cached.open(path);
+    ASSERT_EQ(got.ok(), want.ok()) << path;
+    if (!want.ok()) {
+      EXPECT_EQ(got.error(), want.error()) << path;
+      return;
+    }
+    EXPECT_EQ(got.value().inode, want.value().inode) << path;
+    EXPECT_EQ(cached.stat(path).value().size, f.stat(path).value().size);
+    auto data = cached.read(got.value(), 0, kMaxFileSize);
+    ASSERT_TRUE(data.ok()) << path;
+    EXPECT_EQ(data.value(), f.read(want.value(), 0, kMaxFileSize).value());
+  };
+  const auto expect_listing = [&](const std::string& dir) {
+    FileSystem f = fresh();
+    auto got = cached.readdir(dir);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(names(got), names(f.readdir(dir)));
+  };
+
+  ASSERT_TRUE(writer.mkdir("/d").ok());
+  auto a = writer.create("/d/a");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(writer.write(a.value(), 0, blob(100, 1)).ok());
+  expect_fresh("/d/a");
+  expect_listing("/d");
+
+  ASSERT_TRUE(writer.rename("/d/a", "/d/b").ok());
+  expect_fresh("/d/a");
+  expect_fresh("/d/b");
+  expect_listing("/d");
+  EXPECT_EQ(cached.open("/d/b").value().inode, a.value().inode);
+
+  ASSERT_TRUE(writer.unlink("/d/b").ok());
+  expect_fresh("/d/b");
+  expect_listing("/d");
+  EXPECT_FALSE(cached.read(a.value(), 0, 100).ok());
+
+  auto b = writer.create("/d/b");
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(writer.write(b.value(), 0, blob(200, 2)).ok());
+  expect_fresh("/d/b");
+  EXPECT_EQ(cached.open("/d/b").value().inode, b.value().inode);
+
+  // Past one block of entries.
+  for (int i = 0; i < 150; ++i) {
+    ASSERT_TRUE(writer.create("/d/file_number_" + std::to_string(i)).ok());
+  }
+  expect_listing("/d");
+  expect_fresh("/d/file_number_149");
+  expect_fresh("/d/b");
+
+  // A file grows past its cached image's blocks, then shrinks.
+  const auto bh = cached.open("/d/b");
+  ASSERT_TRUE(bh.ok());
+  ASSERT_TRUE(cached.read(bh.value(), 0, kMaxFileSize).ok());
+  ASSERT_TRUE(writer.write(b.value(), 0, blob(3 * kBlockSize + 7, 3)).ok());
+  expect_fresh("/d/b");
+  EXPECT_EQ(cached.read(bh.value(), 0, kMaxFileSize).value(),
+            blob(3 * kBlockSize + 7, 3));
+  ASSERT_TRUE(writer.truncate(b.value(), 10).ok());
+  expect_fresh("/d/b");
+  EXPECT_EQ(cached.read(bh.value(), 0, kMaxFileSize).value(),
+            Bytes(blob(10, 3)));
+
+  // A directory renamed away and another made in its place.
+  ASSERT_TRUE(writer.rename("/d", "/e").ok());
+  ASSERT_TRUE(writer.mkdir("/d").ok());
+  expect_fresh("/d/b");
+  expect_fresh("/e/b");
+  expect_listing("/d");
+  expect_listing("/e");
+  ASSERT_TRUE(cached.fsck().value().clean());
+}
+
+TEST_F(KfsTest, MoreFilesThanTheLookupCacheHoldsStillReadRight) {
+  // The cache drops entries past its bound; every lookup and read stays
+  // right, only slower.
+  auto super = FileSystem::mkfs(client0_);
+  auto fs0 = FileSystem::mount(client0_, super.value());
+  constexpr std::size_t kPerDir = 64;
+  const std::size_t files = kLookupCacheEntries + kPerDir;
+  const auto path = [&](std::size_t i) {
+    return "/d" + std::to_string(i / kPerDir) + "/f" + std::to_string(i);
+  };
+  for (std::size_t i = 0; i < files; ++i) {
+    if (i % kPerDir == 0) {
+      ASSERT_TRUE(fs0.value().mkdir("/d" + std::to_string(i / kPerDir)).ok());
+    }
+    auto fh = fs0.value().create(path(i));
+    ASSERT_TRUE(fh.ok()) << i;
+    ASSERT_TRUE(
+        fs0.value().write(fh.value(), 0, blob(16, static_cast<std::uint8_t>(i)))
+            .ok());
+  }
+  auto fs1 = FileSystem::mount(client1_, super.value());
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < files; ++i) {
+      auto fh = fs1.value().open(path(i));
+      ASSERT_TRUE(fh.ok()) << i;
+      auto r = fs1.value().read(fh.value(), 0, 16);
+      ASSERT_TRUE(r.ok()) << i;
+      EXPECT_EQ(r.value(), blob(16, static_cast<std::uint8_t>(i))) << i;
+    }
+  }
 }
 
 }  // namespace
