@@ -159,7 +159,10 @@ int main(int argc, char** argv) {
         "(retries=%llu)\n",
         world.node(2).background_queue_depth(),
         static_cast<unsigned long long>(
-            world.node(2).stats().background_retries));
+            world.node(2)
+                .metrics()
+                .counter("node.background_retries")
+                .value()));
   }
 
   std::printf(

@@ -130,12 +130,14 @@ int main() {
       const std::string path = std::string("/layout_") + name;
       auto fh = mounts[0].create(path, opts);
       if (!fh.ok()) std::abort();
-      const auto locks0 = world.node(0).stats().locks_granted;
+      const obs::Counter& granted =
+          world.node(0).metrics().counter("node.locks_granted");
+      const auto locks0 = granted.value();
       TrafficMeter meter(world);
       if (!mounts[0].write(fh.value(), 0, fill(64 * 1024, 0x11)).ok()) {
         std::abort();
       }
-      const auto locks = world.node(0).stats().locks_granted - locks0;
+      const auto locks = granted.value() - locks0;
       const auto msgs = meter.delta().messages;
       auto fh3 = mounts[3].open(path);
       if (!fh3.ok()) std::abort();

@@ -8,8 +8,8 @@
 #include <tuple>
 
 #include "bench/bench_util.h"
-#include "core/address_map.h"
-#include "core/region_directory.h"
+#include "location/address_map.h"
+#include "location/region_directory.h"
 #include "net/message.h"
 #include "storage/memory_store.h"
 #include "storage/page_directory.h"
@@ -45,7 +45,7 @@ void BM_EncoderPrimitives(benchmark::State& state) {
 }
 BENCHMARK(BM_EncoderPrimitives);
 
-class BenchMapStore final : public core::MapPageStore {
+class BenchMapStore final : public location::MapPageStore {
  public:
   Bytes read_page(std::uint32_t index) override {
     auto it = pages_.find(index);
@@ -62,8 +62,8 @@ class BenchMapStore final : public core::MapPageStore {
 
 void BM_AddressMapLookup(benchmark::State& state) {
   BenchMapStore store;
-  core::AddressMap::format(store);
-  core::AddressMap map(store);
+  location::AddressMap::format(store);
+  location::AddressMap map(store);
   const auto n = static_cast<std::uint64_t>(state.range(0));
   for (std::uint64_t i = 0; i < n; ++i) {
     (void)map.insert({{0, i * 100}, 80}, {1});
@@ -79,8 +79,8 @@ void BM_AddressMapInsert(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     BenchMapStore store;
-    core::AddressMap::format(store);
-    core::AddressMap map(store);
+    location::AddressMap::format(store);
+    location::AddressMap map(store);
     state.ResumeTiming();
     for (std::uint64_t i = 0; i < 500; ++i) {
       benchmark::DoNotOptimize(map.insert({{0, i * 100}, 80}, {1}).ok());
@@ -112,9 +112,9 @@ void BM_PageDirectoryEnsure(benchmark::State& state) {
 BENCHMARK(BM_PageDirectoryEnsure);
 
 void BM_RegionDirectoryLookup(benchmark::State& state) {
-  core::RegionDirectory dir(2048);
+  location::RegionDirectory dir(2048);
   for (std::uint64_t i = 0; i < 1024; ++i) {
-    core::RegionDescriptor d;
+    location::RegionDescriptor d;
     d.range = {{0, i << 20}, 1 << 20};
     d.home_nodes = {static_cast<NodeId>(i % 8)};
     dir.insert(d);

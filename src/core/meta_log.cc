@@ -25,9 +25,9 @@ MetaLog::MetaLog(storage::StorageHierarchy& storage, NodeId id,
                  SnapshotFn snapshot)
     : storage_(storage), id_(id), snapshot_(std::move(snapshot)) {}
 
-void MetaLog::checkpoint() {
+Status MetaLog::checkpoint() {
   auto* disk = storage_.disk();
-  if (disk == nullptr) return;
+  if (disk == nullptr) return {};
   const Snapshot snap = snapshot_();
   Encoder e;
   e.u64(snap.granted_bytes);
@@ -40,19 +40,24 @@ void MetaLog::checkpoint() {
     e.addr(p);
     e.u64(v);
   }
-  (void)disk->put_meta("node_state", e.data());
+  if (Status s = disk->put_meta("node_state", e.data()); !s.ok()) {
+    KHZ_WARN("node %u: checkpoint not written; journal kept", id_);
+    checkpoint_at_ = disk->journal().appended() + kCompactThreshold;
+    return s;
+  }
   // The snapshot now covers everything the journal recorded; start fresh.
-  (void)disk->journal().reset();
+  checkpoint_at_ = kCompactThreshold;
+  return disk->journal().reset();
 }
 
 void MetaLog::append(const Bytes& record) {
   auto* disk = storage_.disk();
   if (disk == nullptr) return;
   (void)disk->journal().append(record);
-  if (disk->journal().appended() >= kCompactThreshold) checkpoint();
+  if (disk->journal().appended() >= checkpoint_at_) (void)checkpoint();
 }
 
-void MetaLog::record_region(const RegionDescriptor& desc) {
+void MetaLog::record_region(const location::RegionDescriptor& desc) {
   if (storage_.disk() == nullptr) return;
   Encoder e;
   e.u8(kJnlRegion);
@@ -110,7 +115,7 @@ MetaLog::Snapshot MetaLog::recover() {
     }
     const std::uint32_t nregions = d.u32();
     for (std::uint32_t i = 0; i < nregions && d.ok(); ++i) {
-      RegionDescriptor desc = RegionDescriptor::decode(d);
+      auto desc = location::RegionDescriptor::decode(d);
       out.regions[desc.range.base] = desc;
     }
     const std::uint32_t npages = d.u32();
@@ -129,7 +134,7 @@ MetaLog::Snapshot MetaLog::recover() {
     Decoder d(rec);
     switch (d.u8()) {
       case kJnlRegion: {
-        RegionDescriptor desc = RegionDescriptor::decode(d);
+        auto desc = location::RegionDescriptor::decode(d);
         if (d.ok()) out.regions[desc.range.base] = desc;
         break;
       }

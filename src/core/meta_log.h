@@ -4,9 +4,10 @@
 // plus a write-ahead journal of every mutation since
 // (storage/meta_journal.h). Mutators call record_*() — one O(1) journal
 // append per change; once the journal passes kCompactThreshold records the
-// next append pulls a fresh snapshot from the host and truncates the
-// journal. recover() = decode snapshot into accumulators, replay journal
-// over them, return the result for the node to install.
+// next append pulls a fresh snapshot from the host and, once the snapshot
+// is safely on disk, truncates the journal. recover() = decode snapshot
+// into accumulators, replay journal over them, return the result for the
+// node to install.
 //
 // The MetaLog owns the record format and the compaction policy; what the
 // state *means* (installing descriptors, rebuilding page directories) stays
@@ -19,7 +20,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "core/region.h"
+#include "location/region.h"
 #include "storage/hierarchy.h"
 
 namespace khz::core {
@@ -31,7 +32,7 @@ class MetaLog {
   struct Snapshot {
     std::uint64_t granted_bytes = 0;
     std::vector<AddressRange> pool;
-    std::map<GlobalAddress, RegionDescriptor> regions;
+    std::map<GlobalAddress, location::RegionDescriptor> regions;
     std::map<GlobalAddress, Version> page_versions;
   };
   using SnapshotFn = std::function<Snapshot()>;
@@ -44,15 +45,18 @@ class MetaLog {
   MetaLog(storage::StorageHierarchy& storage, NodeId id, SnapshotFn snapshot);
 
   // -- mutation records (one O(1) append each) ---------------------------
-  void record_region(const RegionDescriptor& desc);
+  void record_region(const location::RegionDescriptor& desc);
   void record_region_erase(const GlobalAddress& base);
   void record_pool(std::uint64_t granted_bytes,
                    const std::vector<AddressRange>& pool);
   void record_page(const GlobalAddress& page, Version version);
   void record_page_erase(const GlobalAddress& page);
 
-  /// Rewrites the full snapshot and truncates the journal.
-  void checkpoint();
+  /// Rewrites the full snapshot and, once it is on disk, truncates the
+  /// journal. A failed snapshot write keeps the old snapshot and the whole
+  /// journal, and the next automatic try waits for another
+  /// kCompactThreshold records rather than retrying on every append.
+  Status checkpoint();
 
   /// Snapshot + journal replay. Replay stops at the first torn or corrupt
   /// record (crash mid-append loses only that record).
@@ -64,6 +68,8 @@ class MetaLog {
   storage::StorageHierarchy& storage_;
   NodeId id_;  // log prefix only
   SnapshotFn snapshot_;
+  /// Journal length at which append() next checkpoints.
+  std::size_t checkpoint_at_ = kCompactThreshold;
 };
 
 }  // namespace khz::core

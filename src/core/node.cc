@@ -46,12 +46,15 @@ AdmissionConfig make_admission(const NodeConfig& c) {
   return a;
 }
 
+/// An empty manager list means the genesis node alone.
+NodeConfig with_managers(NodeConfig c) {
+  if (c.cluster_managers.empty()) c.cluster_managers = {c.genesis};
+  return c;
+}
+
 location::FabricConfig make_fabric(const NodeConfig& c) {
   location::FabricConfig f;
   f.hint_sync_interval = c.hint_sync_interval;
-  f.refresh_interval = c.refresh_interval;
-  f.refresh_age_us = c.refresh_age_us;
-  f.refresh_hot_accesses = c.refresh_hot_accesses;
   f.free_space_ttl = c.free_space_ttl;
   return f;
 }
@@ -63,14 +66,13 @@ location::FabricConfig make_fabric(const NodeConfig& c) {
 // ---------------------------------------------------------------------------
 
 Node::Node(NodeConfig config, net::Transport& transport)
-    : config_(std::move(config)),
+    : config_(with_managers(std::move(config))),
       transport_(transport),
       rng_(config_.seed + config_.id * 7919),
       disk_(config_.disk_dir.empty()
                 ? nullptr
-                : std::make_shared<storage::DiskStore>(
-                      config_.disk_dir, config_.disk_pages,
-                      config_.segment_bytes)),
+                : std::make_shared<storage::DiskStore>(config_.disk_dir,
+                                                       config_.disk_pages)),
       storage_(config_.ram_pages, disk_),
       tracer_(config_.id),
       flight_(config_.flight_recorder_capacity),
@@ -90,12 +92,7 @@ Node::Node(NodeConfig config, net::Transport& transport)
   ins_.locks_failed = &metrics_.counter("node.locks_failed");
   ins_.reads = &metrics_.counter("node.reads");
   ins_.writes = &metrics_.counter("node.writes");
-  ins_.resolve_cache_hits = &metrics_.counter("node.resolve_cache_hits");
-  ins_.resolve_manager_hits = &metrics_.counter("node.resolve_manager_hits");
-  ins_.resolve_map_walks = &metrics_.counter("node.resolve_map_walks");
-  ins_.resolve_cluster_walks = &metrics_.counter("node.resolve_cluster_walks");
   ins_.replica_pushes = &metrics_.counter("node.replica_pushes");
-  ins_.background_retries = &metrics_.counter("node.background_retries");
   ins_.deadline_expired = &metrics_.counter("rpc.deadline_expired.server");
   ins_.reserve_us = &metrics_.histogram("op.reserve_us");
   ins_.lock_read_us = &metrics_.histogram("op.lock.read_us");
@@ -103,12 +100,6 @@ Node::Node(NodeConfig config, net::Transport& transport)
   ins_.lock_write_shared_us = &metrics_.histogram("op.lock.write_shared_us");
   ins_.read_us = &metrics_.histogram("op.read_us");
   ins_.write_us = &metrics_.histogram("op.write_us");
-  ins_.resolve_region_dir_us = &metrics_.histogram("resolve.region_dir_us");
-  ins_.resolve_manager_hint_us =
-      &metrics_.histogram("resolve.manager_hint_us");
-  ins_.resolve_map_walk_us = &metrics_.histogram("resolve.map_walk_us");
-  ins_.resolve_cluster_walk_us =
-      &metrics_.histogram("resolve.cluster_walk_us");
   ins_.lock_ranges = &metrics_.histogram("op.lock.ranges");
   ins_.lock_pages = &metrics_.histogram("op.lock.pages");
   ins_.lock_window = &metrics_.histogram("op.lock.window_occupancy");
@@ -146,22 +137,6 @@ void Node::stop() {
     sample_timer_ = 0;
   }
   stop_storage_timers();
-}
-
-NodeStats Node::stats() const {
-  NodeStats s;
-  s.reserves = ins_.reserves->value();
-  s.locks_granted = ins_.locks_granted->value();
-  s.locks_failed = ins_.locks_failed->value();
-  s.reads = ins_.reads->value();
-  s.writes = ins_.writes->value();
-  s.resolve_cache_hits = ins_.resolve_cache_hits->value();
-  s.resolve_manager_hits = ins_.resolve_manager_hits->value();
-  s.resolve_map_walks = ins_.resolve_map_walks->value();
-  s.resolve_cluster_walks = ins_.resolve_cluster_walks->value();
-  s.replica_pushes = ins_.replica_pushes->value();
-  s.background_retries = ins_.background_retries->value();
-  return s;
 }
 
 obs::Histogram* Node::lock_hist(LockMode mode) {
@@ -276,8 +251,8 @@ NodeId Node::home_of(const GlobalAddress& page) {
   }
   if (homed_descriptor(page)) return config_.id;
   if (auto desc = regions_.lookup(page)) return desc->primary_home();
-  // Last resort: the cluster manager can route or Nack; retries recover.
-  return config_.cluster_manager;
+  // Last resort: the primary manager can route or Nack; retries recover.
+  return managers().front();
 }
 
 bool Node::is_home(const GlobalAddress& page) {

@@ -36,15 +36,14 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "consistency/cm.h"
-#include "core/address_map.h"
 #include "core/admission.h"
-#include "core/cluster.h"
 #include "core/meta_log.h"
-#include "core/region.h"
-#include "core/region_directory.h"
-#include "core/resolver.h"
 #include "core/rpc_engine.h"
+#include "location/address_map.h"
+#include "location/cluster.h"
 #include "location/fabric.h"
+#include "location/region.h"
+#include "location/region_directory.h"
 #include "net/transport.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -54,18 +53,34 @@
 
 namespace khz::core {
 
+// The location types live in src/location; core, and every layer above it,
+// names them unqualified through these aliases.
+using location::AccessControl;
+using location::AddressMap;
+using location::ClusterState;
+using location::ConsistencyLevel;
+using location::kFirstClientAddress;
+using location::kMapRegionBase;
+using location::kMapRegionSize;
+using location::kPoolChunkSize;
+using location::map_region_descriptor;
+using location::MapEntry;
+using location::MapPageStore;
+using location::RegionAttrs;
+using location::RegionDescriptor;
+using location::RegionDirectory;
+
 struct NodeConfig {
   NodeId id = 0;
   /// The node that bootstraps region 0 / the address map and (by default)
   /// acts as the single cluster's manager.
   NodeId genesis = 0;
-  NodeId cluster_manager = 0;
   /// "Each cluster has one or more designated cluster managers"
-  /// (Section 3.1). When non-empty this overrides cluster_manager; entry 0
-  /// is the primary. Every manager accumulates location hints; address
-  /// space is partitioned between them (manager k grants chunk numbers
-  /// congruent to k mod M) so grants never collide. The address map's
-  /// authority remains the genesis node.
+  /// (Section 3.1); entry 0 is the primary, and empty means the genesis
+  /// node alone. Every manager accumulates location hints; address space is
+  /// partitioned between them (manager k grants chunk numbers congruent to
+  /// k mod M) so grants never collide. The address map's authority remains
+  /// the genesis node.
   std::vector<NodeId> cluster_managers;
   /// Initial membership (all peers, including self).
   std::vector<NodeId> peers;
@@ -98,17 +113,11 @@ struct NodeConfig {
   /// crash-of-the-process durability.
   bool sync_metadata = false;
 
-  /// Segment-store data plane (docs/storage.md). Target size of one
-  /// append-only segment file in the DiskStore's page log.
-  std::uint64_t segment_bytes = 8ull << 20;
-  /// Group commit (amortizes one fdatasync over a batch of page + journal
-  /// writes). group_commit_us > 0 arms a timer that commits the pending
-  /// batch every tick; group_commit_bytes > 0 additionally commits as soon
-  /// as that many segment bytes are pending. Both zero (the default):
-  /// every durable write commits inline when sync_metadata is set — the
-  /// per-write-fdatasync baseline.
+  /// Group commit (docs/storage.md; amortizes one fdatasync over a batch
+  /// of page + journal writes). > 0 arms a timer that commits the pending
+  /// batch every tick. 0 (the default): every durable write commits inline
+  /// when sync_metadata is set — the per-write-fdatasync baseline.
   Micros group_commit_us = 0;
-  std::uint64_t group_commit_bytes = 0;
   /// > 0: every interval, checkpoint the metadata journal into a fresh
   /// snapshot and compact cold segments, on the node's timer rail.
   Micros checkpoint_interval = 0;
@@ -131,18 +140,9 @@ struct NodeConfig {
   /// anti-entropy period (0 = off: hints spread only via client misses,
   /// the pre-fabric behaviour).
   Micros hint_sync_interval = 0;
-  /// Proactive descriptor refresh: sweep period (0 = off), the descriptor
-  /// age that makes a hot region worth re-fetching (0 = any age), and the
-  /// per-sweep access count that makes a region "hot".
-  Micros refresh_interval = 0;
-  Micros refresh_age_us = 0;
-  std::uint32_t refresh_hot_accesses = 4;
   /// Free-space offers older than this are ignored by pool placement
   /// (0 = offers never expire — the legacy behaviour).
   Micros free_space_ttl = 0;
-  /// Genesis only: run an address-map rebalance pass (split pages above
-  /// half occupancy) every this many map mutations (0 = never).
-  std::uint32_t map_rebalance_every = 0;
 
   /// Checkpoint-tick compaction budget: at most this many pages rewritten
   /// per segment-compaction pass (0 = unbounded, the legacy full sweep).
@@ -150,25 +150,6 @@ struct NodeConfig {
 
   std::uint64_t seed = 42;
   std::uint32_t principal = 0;  // identity for ACL checks
-};
-
-/// Per-node operation counters (observability for tests and benches).
-/// Since the obs::MetricsRegistry migration this is a *snapshot* struct:
-/// Node::stats() synthesizes it from the node's registry counters, so the
-/// legacy field-by-field consumers keep working while new code reads the
-/// registry (which also carries latency histograms).
-struct NodeStats {
-  std::uint64_t reserves = 0;
-  std::uint64_t locks_granted = 0;
-  std::uint64_t locks_failed = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t resolve_cache_hits = 0;   // region-directory hit
-  std::uint64_t resolve_manager_hits = 0; // cluster-manager hint hit
-  std::uint64_t resolve_map_walks = 0;    // address-map tree walks
-  std::uint64_t resolve_cluster_walks = 0;
-  std::uint64_t replica_pushes = 0;
-  std::uint64_t background_retries = 0;
 };
 
 /// One range of a put_many: `data` is written at the start of `range`.
@@ -330,10 +311,9 @@ class Node final : public consistency::CmHost,
   // --- introspection ----------------------------------------------------
   /// This node's id (stable for the node's lifetime; reused on restart).
   [[nodiscard]] NodeId id() const { return config_.id; }
-  /// The configuration the node was constructed with, verbatim.
+  /// The configuration the node was constructed with (an empty manager
+  /// list reads back as {genesis}).
   [[nodiscard]] const NodeConfig& config() const { return config_; }
-  /// Snapshot of the legacy counter block, synthesized from metrics().
-  [[nodiscard]] NodeStats stats() const;
   /// Causal span recorder for this node (spans export via the worlds'
   /// trace_json helpers).
   [[nodiscard]] obs::Tracer& tracer() override { return tracer_; }
@@ -347,8 +327,8 @@ class Node final : public consistency::CmHost,
   [[nodiscard]] storage::StorageHierarchy& storage() { return storage_; }
   /// Page metadata: sharers, owner, dirty, lock holds.
   [[nodiscard]] storage::PageDirectory& page_directory() { return pages_; }
-  /// The location fabric: resolver, caches, hint anti-entropy and the
-  /// proactive-refresh pass behind one facade (docs/location.md).
+  /// The location fabric: resolver, caches and hint anti-entropy behind
+  /// one facade (docs/location.md).
   [[nodiscard]] location::Fabric& fabric() { return *fabric_; }
   /// LRU cache of recently used region descriptors (location level 1).
   [[nodiscard]] RegionDirectory& region_directory() { return regions_; }
@@ -360,14 +340,12 @@ class Node final : public consistency::CmHost,
     return members_;
   }
   /// All cluster managers, primary first.
-  [[nodiscard]] std::vector<NodeId> managers() const override {
-    if (!config_.cluster_managers.empty()) return config_.cluster_managers;
-    return {config_.cluster_manager};
+  [[nodiscard]] const std::vector<NodeId>& managers() const override {
+    return config_.cluster_managers;
   }
   /// True when this node serves the cluster-manager role.
   [[nodiscard]] bool is_manager() const override {
-    const auto ms = managers();
-    return std::find(ms.begin(), ms.end(), config_.id) != ms.end();
+    return std::ranges::find(managers(), config_.id) != managers().end();
   }
   /// Manager-side address map (null elsewhere). Tests/benches inspect it.
   [[nodiscard]] AddressMap* address_map() { return map_.get(); }
@@ -645,9 +623,6 @@ class Node final : public consistency::CmHost,
 
   std::unique_ptr<LocalMapStore> map_store_;
   std::unique_ptr<AddressMap> map_;
-  /// Genesis only: map mutations since start, driving the periodic
-  /// rebalance pass (config_.map_rebalance_every).
-  std::uint32_t map_mutations_ = 0;
 
   /// One consistency manager per protocol in use, created on demand.
   std::map<consistency::ProtocolId,
@@ -687,10 +662,10 @@ class Node final : public consistency::CmHost,
   obs::MetricsSnapshot last_sample_;
 
   /// The location fabric: region-directory cache, cluster hint state, the
-  /// resolver, and the anti-entropy / proactive-refresh loops behind one
-  /// facade; the node is its Host. Declared after metrics_ (instruments
-  /// bind at construction). regions_/cluster_ alias its internals so the
-  /// pre-fabric call sites read unchanged.
+  /// resolver, and the anti-entropy loop behind one facade; the node is
+  /// its Host. Declared after metrics_ (instruments bind at construction).
+  /// regions_/cluster_ alias its internals so the pre-fabric call sites
+  /// read unchanged.
   std::unique_ptr<location::Fabric> fabric_;
   RegionDirectory& regions_;
   ClusterState& cluster_;
@@ -720,12 +695,7 @@ class Node final : public consistency::CmHost,
     obs::Counter* locks_failed = nullptr;
     obs::Counter* reads = nullptr;
     obs::Counter* writes = nullptr;
-    obs::Counter* resolve_cache_hits = nullptr;
-    obs::Counter* resolve_manager_hits = nullptr;
-    obs::Counter* resolve_map_walks = nullptr;
-    obs::Counter* resolve_cluster_walks = nullptr;
     obs::Counter* replica_pushes = nullptr;
-    obs::Counter* background_retries = nullptr;
     /// Server-side drops of expired work (rpc.deadline_expired.server);
     /// the engine counts client-side expiries separately under
     /// rpc.deadline_expired.client, so shed-rate attribution works.
@@ -736,10 +706,6 @@ class Node final : public consistency::CmHost,
     obs::Histogram* lock_write_shared_us = nullptr;
     obs::Histogram* read_us = nullptr;
     obs::Histogram* write_us = nullptr;
-    obs::Histogram* resolve_region_dir_us = nullptr;
-    obs::Histogram* resolve_manager_hint_us = nullptr;
-    obs::Histogram* resolve_map_walk_us = nullptr;
-    obs::Histogram* resolve_cluster_walk_us = nullptr;
     /// Ranges and pages per lock op, and the prefetch window's occupancy
     /// sampled at each issue (how much of the pipeline is actually used).
     obs::Histogram* lock_ranges = nullptr;

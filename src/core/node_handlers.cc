@@ -134,7 +134,7 @@ void Node::on_space_req(const Message& m) {
   // concurrent managers never grant overlapping chunks without any
   // coordination. The slab is 2^45 bytes: inexhaustible at this scale.
   constexpr std::uint64_t kManagerSlab = 1ull << 45;
-  const auto ms = managers();
+  const auto& ms = managers();
   const std::uint64_t my_index = static_cast<std::uint64_t>(
       std::find(ms.begin(), ms.end(), config_.id) - ms.begin());
   const std::uint64_t granted =
@@ -178,16 +178,6 @@ void Node::on_map_mutate_req(const Message& m) {
   // success so the sender's retry loop terminates.
   if (s.error() == ErrorCode::kAlreadyReserved && op == 1) s = Status{};
   if (s.error() == ErrorCode::kNotFound && (op == 2 || op == 3)) s = Status{};
-  // Periodic skew repair: insertion only splits at the hard overflow
-  // point, so a skewed reservation pattern piles entries into one hot
-  // page; rebalancing at half occupancy spreads them over more pages.
-  if (s.ok() && config_.map_rebalance_every > 0 &&
-      ++map_mutations_ % config_.map_rebalance_every == 0) {
-    const std::size_t splits = map_->rebalance(AddressMap::kMaxEntries / 2);
-    if (splits > 0) {
-      metrics_.counter("location.map_rebalance_splits").inc(splits);
-    }
-  }
   respond(m, MsgType::kMapMutateResp, status_payload(s.error()));
 }
 

@@ -77,8 +77,7 @@ void Node::journal_page(const GlobalAddress& page) {
   // Group-commit policy point: every durable page write funnels through
   // here (store_page, unlock write-back, fail-over promotion), so this one
   // call covers the whole write-through path. Inline per-write fdatasync
-  // without group commit; bytes-threshold drain with it; otherwise the
-  // commit timer picks the batch up.
+  // without group commit; with it, the commit timer picks the batch up.
   if (disk_ != nullptr) (void)disk_->maybe_commit();
 }
 
@@ -89,9 +88,7 @@ void Node::journal_page(const GlobalAddress& page) {
 void Node::configure_disk() {
   disk_->bind_metrics(metrics_);
   if (config_.sync_metadata) disk_->set_sync_on_commit(true);
-  if (config_.group_commit_us > 0 || config_.group_commit_bytes > 0) {
-    disk_->set_group_commit(true, config_.group_commit_bytes);
-  }
+  if (config_.group_commit_us > 0) disk_->set_group_commit(true);
 }
 
 void Node::start_storage_timers() {
@@ -131,7 +128,7 @@ void Node::checkpoint_tick() {
     // checkpoint() pulls snapshot_state() re-entrantly; both sides of the
     // metadata plane run under state_mu_.
     std::lock_guard lk(state_mu_);
-    meta_.checkpoint();
+    (void)meta_.checkpoint();
   }
   (void)disk_->compact(config_.compaction_pages_per_tick);
   checkpoint_timer_ = transport_.schedule(config_.checkpoint_interval,

@@ -25,8 +25,8 @@ RpcEngine::RpcEngine(Host& host, RpcPolicy policy,
   ins_.deadline_expired = &metrics.counter("rpc.deadline_expired.client");
   ins_.duplicate_replies = &metrics.counter("rpc.duplicate_replies");
   ins_.down_short_circuits = &metrics.counter("rpc.down_short_circuits");
-  // Legacy name: NodeStats has always exposed background (reliable-send)
-  // retries under this counter.
+  // Background (reliable-send) retries; named node.* since before the
+  // engine was split out of the node.
   ins_.background_retries = &metrics.counter("node.background_retries");
   ins_.nacks = &metrics.counter("rpc.nacks");
   ins_.budget_exhausted = &metrics.counter("rpc.retry_budget_exhausted");

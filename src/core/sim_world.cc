@@ -8,7 +8,6 @@ NodeConfig make_config(const SimWorldOptions& opts, NodeId id,
   NodeConfig cfg;
   cfg.id = id;
   cfg.genesis = 0;
-  cfg.cluster_manager = 0;
   for (std::size_t m = 0; m < opts.managers && m < count; ++m) {
     cfg.cluster_managers.push_back(static_cast<NodeId>(m));
   }
@@ -28,9 +27,7 @@ NodeConfig make_config(const SimWorldOptions& opts, NodeId id,
   cfg.admission_replication_queue = opts.admission_replication_queue;
   cfg.admission_service_us = opts.admission_service_us;
   cfg.sync_metadata = opts.sync_metadata;
-  cfg.segment_bytes = opts.segment_bytes;
   cfg.group_commit_us = opts.group_commit_us;
-  cfg.group_commit_bytes = opts.group_commit_bytes;
   cfg.checkpoint_interval = opts.checkpoint_interval;
   cfg.slow_op_threshold_us = opts.slow_op_threshold_us;
   cfg.slow_op_deadline_fraction = opts.slow_op_deadline_fraction;
@@ -38,11 +35,7 @@ NodeConfig make_config(const SimWorldOptions& opts, NodeId id,
   cfg.stats_sample_interval = opts.stats_sample_interval;
   cfg.stats_series_capacity = opts.stats_series_capacity;
   cfg.hint_sync_interval = opts.hint_sync_interval;
-  cfg.refresh_interval = opts.refresh_interval;
-  cfg.refresh_age_us = opts.refresh_age_us;
-  cfg.refresh_hot_accesses = opts.refresh_hot_accesses;
   cfg.free_space_ttl = opts.free_space_ttl;
-  cfg.map_rebalance_every = opts.map_rebalance_every;
   cfg.compaction_pages_per_tick = opts.compaction_pages_per_tick;
   cfg.seed = opts.seed;
   return cfg;

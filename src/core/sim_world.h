@@ -40,9 +40,7 @@ struct SimWorldOptions {
   bool sync_metadata = false;
   /// Segment-store data plane knobs, forwarded verbatim to every
   /// NodeConfig (docs/storage.md).
-  std::uint64_t segment_bytes = 8ull << 20;
   Micros group_commit_us = 0;
-  std::uint64_t group_commit_bytes = 0;
   Micros checkpoint_interval = 0;
   /// Telemetry knobs, forwarded verbatim to every NodeConfig (see
   /// docs/observability.md). Defaults: flight recorder armed but never
@@ -53,14 +51,10 @@ struct SimWorldOptions {
   Micros stats_sample_interval = 0;
   std::size_t stats_series_capacity = 64;
   /// Location-fabric knobs, forwarded verbatim to every NodeConfig (see
-  /// docs/location.md). Defaults keep anti-entropy, proactive refresh and
-  /// map rebalancing off — the pre-fabric resolver behaviour.
+  /// docs/location.md). Defaults keep anti-entropy and free-space expiry
+  /// off — the pre-fabric resolver behaviour.
   Micros hint_sync_interval = 0;
-  Micros refresh_interval = 0;
-  Micros refresh_age_us = 0;
-  std::uint32_t refresh_hot_accesses = 4;
   Micros free_space_ttl = 0;
-  std::uint32_t map_rebalance_every = 0;
   /// Checkpoint-tick compaction budget (0 = unbounded).
   std::size_t compaction_pages_per_tick = 0;
   std::uint64_t seed = 1;

@@ -16,7 +16,6 @@ TcpWorld::TcpWorld(TcpWorldOptions opts) : bus_(opts.base_port) {
     NodeConfig cfg;
     cfg.id = id;
     cfg.genesis = 0;
-    cfg.cluster_manager = 0;
     for (std::size_t p = 0; p < opts.nodes; ++p) {
       cfg.peers.push_back(static_cast<NodeId>(p));
     }
@@ -32,9 +31,7 @@ TcpWorld::TcpWorld(TcpWorldOptions opts) : bus_(opts.base_port) {
     cfg.admission_replication_queue = opts.admission_replication_queue;
     cfg.admission_service_us = opts.admission_service_us;
     cfg.sync_metadata = opts.sync_metadata;
-    cfg.segment_bytes = opts.segment_bytes;
     cfg.group_commit_us = opts.group_commit_us;
-    cfg.group_commit_bytes = opts.group_commit_bytes;
     cfg.checkpoint_interval = opts.checkpoint_interval;
     cfg.slow_op_threshold_us = opts.slow_op_threshold_us;
     cfg.slow_op_deadline_fraction = opts.slow_op_deadline_fraction;

@@ -40,9 +40,7 @@ struct TcpWorldOptions {
   bool sync_metadata = false;
   /// Segment-store data plane knobs, forwarded to every NodeConfig
   /// (docs/storage.md).
-  std::uint64_t segment_bytes = 8ull << 20;
   Micros group_commit_us = 0;
-  std::uint64_t group_commit_bytes = 0;
   Micros checkpoint_interval = 0;
   /// Telemetry knobs, forwarded to every NodeConfig (see
   /// docs/observability.md).
@@ -72,7 +70,7 @@ class TcpWorld {
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
   /// Wire-level counters of one node's endpoint, the transport analogue of
-  /// Node::stats().
+  /// the node's metrics registry.
   [[nodiscard]] net::TransportStats transport_stats(NodeId id) const {
     return transports_.at(id)->stats();
   }

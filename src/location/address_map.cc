@@ -275,89 +275,6 @@ void AddressMap::make_root_interior(const Split& split) {
   save(0, new_root);
 }
 
-std::optional<AddressMap::Split> AddressMap::split_page(std::uint32_t index,
-                                                        TreeNode node) {
-  if (node.count() < 2) return std::nullopt;
-  const std::size_t mid = node.count() / 2;
-  TreeNode right;
-  right.leaf = node.leaf;
-  if (node.leaf) {
-    right.leaf_entries.assign(
-        node.leaf_entries.begin() + static_cast<std::ptrdiff_t>(mid),
-        node.leaf_entries.end());
-    node.leaf_entries.resize(mid);
-  } else {
-    right.children.assign(
-        node.children.begin() + static_cast<std::ptrdiff_t>(mid),
-        node.children.end());
-    node.children.resize(mid);
-  }
-  const std::uint32_t right_page = alloc_page();
-  if (index == 0) node.next_free = right_page + 1;
-  save(right_page, right);
-  save(index, node);
-  const GlobalAddress right_min = right.leaf
-                                      ? right.leaf_entries.front().range.base
-                                      : right.children.front().min_base;
-  return Split{right_min, right_page};
-}
-
-std::size_t AddressMap::rebalance(std::size_t max_entries) {
-  max_entries = std::clamp<std::size_t>(max_entries, 4, kMaxEntries);
-  std::size_t splits = 0;
-  // Each round fixes at most one level of skew (a split can push its parent
-  // over the threshold); the tree is depth-bounded, so a few rounds reach
-  // the fixpoint.
-  for (int round = 0; round < 8; ++round) {
-    bool changed = false;
-    if (load(0).count() > max_entries) {
-      if (auto split = split_page(0, load(0))) {
-        make_root_interior(*split);
-        ++splits;
-        changed = true;
-      }
-    }
-    changed = rebalance_children(0, max_entries, splits) || changed;
-    if (!changed) break;
-  }
-  return splits;
-}
-
-bool AddressMap::rebalance_children(std::uint32_t index,
-                                    std::size_t max_entries,
-                                    std::size_t& splits) {
-  TreeNode node = load(index);
-  if (node.leaf) return false;
-  bool changed = false;
-  // Split overfull children while this page has room for the separators;
-  // a full parent waits for the next round (after its own split).
-  for (std::size_t i = 0;
-       i < node.children.size() && node.children.size() < kMaxEntries; ++i) {
-    TreeNode child = load(node.children[i].child);
-    if (child.count() <= max_entries) continue;
-    if (auto split = split_page(node.children[i].child, std::move(child))) {
-      // alloc_page inside split_page rewrote the root header; reload before
-      // inserting the separator so a root-level parent keeps next_free.
-      node = load(index);
-      InteriorEntry ie{split->right_min, split->right_page};
-      auto pos = std::lower_bound(
-          node.children.begin(), node.children.end(), ie,
-          [](const InteriorEntry& a, const InteriorEntry& b) {
-            return a.min_base < b.min_base;
-          });
-      node.children.insert(pos, ie);
-      save(index, node);
-      ++splits;
-      changed = true;
-    }
-  }
-  node = load(index);
-  for (const auto& c : node.children) {
-    changed = rebalance_children(c.child, max_entries, splits) || changed;
-  }
-  return changed;
-}
-
 Status AddressMap::insert_rec(std::uint32_t index, const AddressRange& range,
                               const std::vector<NodeId>& homes,
                               std::optional<Split>& split) {
@@ -432,8 +349,10 @@ Status AddressMap::insert_rec(std::uint32_t index, const AddressRange& range,
     save(index, node);
   }
   // Keep the first-key separator accurate when the new range became the
-  // subtree minimum.
-  if (!node.children.empty() && range.base < node.children[pick].min_base) {
+  // subtree minimum. A split above may have moved `pick` into the right
+  // page; only pick 0 can gain a new minimum, and it stays here.
+  if (pick < node.children.size() &&
+      range.base < node.children[pick].min_base) {
     node.children[pick].min_base = range.base;
     save(index, node);
   }

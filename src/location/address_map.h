@@ -85,14 +85,6 @@ class AddressMap {
   /// Does any reservation overlap `range`?
   [[nodiscard]] bool overlaps(const AddressRange& range);
 
-  /// Splits pages holding more than `max_entries` entries (clamped to
-  /// [4, kMaxEntries]) until every page fits, bounded at a few rounds.
-  /// Insertion only splits at the kMaxEntries overflow point, so a skewed
-  /// workload concentrates entries in one hot page and every lookup under
-  /// it serializes on that page's home; rebalancing at a lower threshold
-  /// spreads the entries over more pages. Returns the splits performed.
-  std::size_t rebalance(std::size_t max_entries);
-
   /// All reservations, in address order (full scan; diagnostics & tests).
   [[nodiscard]] std::vector<MapEntry> entries();
 
@@ -142,16 +134,10 @@ class AddressMap {
   Status insert_rec(std::uint32_t index, const AddressRange& range,
                     const std::vector<NodeId>& homes,
                     std::optional<Split>& split);
-  /// Moves the upper half of page `index` into a fresh right page; the
-  /// lower half stays. Returns the separator for the parent (nullopt when
-  /// the page is too small to split).
-  std::optional<Split> split_page(std::uint32_t index, TreeNode node);
   /// Root-split completion: pushes the root's (already halved) content
   /// down into a fresh left child and rewrites page 0 as an interior node
   /// over {left, right} — the root must stay at its well-known page.
   void make_root_interior(const Split& split);
-  bool rebalance_children(std::uint32_t index, std::size_t max_entries,
-                          std::size_t& splits);
   void collect(std::uint32_t index, std::vector<MapEntry>& out);
 
   [[nodiscard]] Bytes encode(const TreeNode& node) const;

@@ -1,6 +1,5 @@
 #include "location/fabric.h"
 
-#include <algorithm>
 #include <utility>
 
 
@@ -26,20 +25,15 @@ Fabric::Fabric(Host& host, obs::MetricsRegistry& metrics, FabricConfig config)
   ins_.hint_sync_merged = &metrics.counter("location.hint_sync.merged");
   ins_.hint_sync_rejected = &metrics.counter("location.hint_sync.rejected");
   ins_.retractions = &metrics.counter("location.retractions");
-  ins_.refreshes = &metrics.counter("location.refreshes");
 }
 
 void Fabric::start() {
   if (running_) return;
   running_ = true;
-  // Only managers hold a hint cache worth exchanging; everyone may refresh.
+  // Only managers hold a hint cache worth exchanging.
   if (config_.hint_sync_interval > 0 && host_.is_manager()) {
     sync_timer_ =
         host_.schedule(config_.hint_sync_interval, [this] { hint_sync_tick(); });
-  }
-  if (config_.refresh_interval > 0) {
-    refresh_timer_ =
-        host_.schedule(config_.refresh_interval, [this] { refresh_tick(); });
   }
 }
 
@@ -47,17 +41,12 @@ void Fabric::stop() {
   if (!running_) return;
   running_ = false;
   if (sync_timer_ != 0) host_.cancel(sync_timer_);
-  if (refresh_timer_ != 0) host_.cancel(refresh_timer_);
-  sync_timer_ = refresh_timer_ = 0;
+  sync_timer_ = 0;
 }
 
 void Fabric::resolve(const GlobalAddress& addr, Resolver::DescCb cb) {
   ins_.resolves->inc();
-  resolver_.resolve(addr, [this, cb = std::move(cb)](
-                              Result<RegionDescriptor> r) mutable {
-    if (r.ok()) note_access(r.value().range.base);
-    cb(std::move(r));
-  });
+  resolver_.resolve(addr, std::move(cb));
 }
 
 void Fabric::note_resolved(HitClass cls, Micros latency) {
@@ -184,69 +173,6 @@ Bytes Fabric::handle_hint_sync(NodeId from, Decoder& d) {
     encode_entries(resp, mine);
   }
   return std::move(resp).take();
-}
-
-// --- proactive descriptor refresh ------------------------------------------
-
-void Fabric::note_access(const GlobalAddress& base) {
-  if (config_.refresh_interval == 0) return;
-  std::lock_guard lk(access_mu_);
-  ++access_counts_[base];
-}
-
-void Fabric::refresh_tick() {
-  refresh_timer_ = 0;
-  if (!running_) return;
-  std::map<GlobalAddress, std::uint32_t> hot;
-  {
-    std::lock_guard lk(access_mu_);
-    hot.swap(access_counts_);
-  }
-  const Micros now = host_.now();
-  for (const auto& [base, count] : hot) {
-    if (count < config_.refresh_hot_accesses) continue;
-    const auto stamp = regions_.stamp_of(base);
-    if (!stamp) continue;  // evicted since; the next miss re-resolves it
-    if (config_.refresh_age_us > 0 && now - *stamp < config_.refresh_age_us) {
-      continue;  // still fresh enough
-    }
-    refresh_descriptor(base);
-  }
-  refresh_timer_ =
-      host_.schedule(config_.refresh_interval, [this] { refresh_tick(); });
-}
-
-void Fabric::refresh_descriptor(const GlobalAddress& base) {
-  const auto cached = regions_.lookup(base);
-  if (!cached) return;
-  std::vector<NodeId> candidates = cached->home_nodes;
-  std::erase(candidates, host_.self());
-  std::erase_if(candidates,
-                [this](NodeId n) { return host_.is_down(n); });
-  if (candidates.empty()) return;
-  Encoder e;
-  e.addr(base);
-  Resolver::Host::CallSpec opts;
-  opts.max_attempts = static_cast<int>(candidates.size());
-  opts.accept = [](Decoder d) {
-    return static_cast<ErrorCode>(d.u8()) == ErrorCode::kOk;
-  };
-  host_.call(
-      std::move(candidates), MsgType::kDescLookupReq, std::move(e).take(),
-      [this, base](bool ok, Decoder& d) {
-        if (!ok) {
-          // Every cached home bounced or timed out: the descriptor is
-          // stale everywhere we know of. Drop it so the next access takes
-          // the full lookup path instead of chasing dead homes.
-          regions_.invalidate(base);
-          return;
-        }
-        (void)d.u8();  // status byte; accept saw kOk
-        RegionDescriptor fresh = RegionDescriptor::decode(d);
-        regions_.insert(fresh, host_.now());
-        ins_.refreshes->inc();
-      },
-      std::move(opts));
 }
 
 }  // namespace khz::location

@@ -4,16 +4,14 @@
 // The fabric owns the three location data structures — the region-directory
 // descriptor cache (level 1), the cluster-manager hint cache (level 2), and
 // the resolver that walks them plus the address-map tree (level 3) — and
-// runs the background work that keeps them honest under churn:
-//
-//  * Hint anti-entropy: managers periodically exchange signed digests of
-//    their hint caches (kHintSyncReq/Resp) and merge newest-wins, so a
-//    hint published to one manager reaches the others without waiting for
-//    a client miss, and a failure-detector retraction propagates instead
-//    of resurrecting.
-//  * Proactive descriptor refresh: access counters find hot
-//    regions; descriptors older than the age TTL are re-fetched from their
-//    cached homes before a client blocks on a stale one.
+// runs the background work that keeps them honest under churn — hint
+// anti-entropy: managers periodically exchange signed digests of their
+// hint caches (kHintSyncReq/Resp) and merge newest-wins, so a hint
+// published to one manager reaches the others without waiting for a
+// client miss, and a failure-detector retraction propagates instead of
+// resurrecting. Cached descriptors are never refreshed proactively: a
+// stale one costs one bounce to the old home and a re-resolve
+// (Section 3.2).
 //
 // Everything the fabric needs from the node is behind Fabric::Host — a
 // narrow interface (identity, clock, timers, failure verdicts, one RPC
@@ -22,8 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <vector>
 
 #include "common/result.h"
@@ -42,12 +38,6 @@ struct FabricConfig {
   /// Manager-to-manager hint anti-entropy period. 0 disables the exchange
   /// (hints then spread only via client misses, the pre-fabric behaviour).
   Micros hint_sync_interval = 0;
-  /// Proactive-refresh sweep period. 0 disables refresh entirely.
-  Micros refresh_interval = 0;
-  /// Only descriptors at least this old are re-fetched (0 = any age).
-  Micros refresh_age_us = 0;
-  /// Accesses per sweep that make a region "hot" enough to refresh.
-  std::uint32_t refresh_hot_accesses = 4;
   /// Free-space offers older than this are ignored by placement
   /// (ClusterState::best_pool_node). 0 = offers never expire.
   Micros free_space_ttl = 0;
@@ -64,7 +54,7 @@ class Fabric final : public Resolver::Host {
     virtual ~Host() = default;
     [[nodiscard]] virtual NodeId self() const = 0;
     [[nodiscard]] virtual NodeId genesis() const = 0;
-    [[nodiscard]] virtual std::vector<NodeId> managers() const = 0;
+    [[nodiscard]] virtual const std::vector<NodeId>& managers() const = 0;
     [[nodiscard]] virtual bool is_manager() const = 0;
     virtual std::vector<NodeId> membership() = 0;
     [[nodiscard]] virtual Micros now() const = 0;
@@ -85,15 +75,14 @@ class Fabric final : public Resolver::Host {
 
   Fabric(Host& host, obs::MetricsRegistry& metrics, FabricConfig config);
 
-  /// Arms the anti-entropy and refresh timers (no-ops when their intervals
-  /// are 0). Call after the node's transport is ready.
+  /// Arms the anti-entropy timer (a no-op when its interval is 0, or on a
+  /// node that is not a manager). Call after the node's transport is ready.
   void start();
-  /// Cancels outstanding timers. Idempotent.
+  /// Cancels the anti-entropy timer. Idempotent.
   void stop();
 
-  /// Resolve `addr` to its region descriptor. Counts the resolve, notes
-  /// the access for the hot-region refresh pass, and attributes exactly
-  /// one hit class via note_resolved.
+  /// Resolve `addr` to its region descriptor. Counts the resolve and
+  /// attributes exactly one hit class via note_resolved.
   void resolve(const GlobalAddress& addr, Resolver::DescCb cb);
 
   [[nodiscard]] RegionDirectory& regions() { return regions_; }
@@ -117,7 +106,7 @@ class Fabric final : public Resolver::Host {
   // --- Resolver::Host (forwarded to host_ / owned state) ---
   [[nodiscard]] NodeId self() const override { return host_.self(); }
   [[nodiscard]] NodeId genesis() const override { return host_.genesis(); }
-  [[nodiscard]] std::vector<NodeId> managers() const override {
+  [[nodiscard]] const std::vector<NodeId>& managers() const override {
     return host_.managers();
   }
   [[nodiscard]] bool is_manager() const override { return host_.is_manager(); }
@@ -156,9 +145,6 @@ class Fabric final : public Resolver::Host {
 
   void hint_sync_tick();
   void sync_with(NodeId peer);
-  void refresh_tick();
-  void refresh_descriptor(const GlobalAddress& base);
-  void note_access(const GlobalAddress& base);
 
   Host& host_;
   FabricConfig config_;
@@ -166,14 +152,8 @@ class Fabric final : public Resolver::Host {
   ClusterState cluster_;
   Resolver resolver_;
 
-  /// Per-region access counts since the last refresh sweep. Locked:
-  /// note_access runs wherever a resolve does.
-  std::mutex access_mu_;
-  std::map<GlobalAddress, std::uint32_t> access_counts_;
-
   bool running_ = false;
   std::uint64_t sync_timer_ = 0;
-  std::uint64_t refresh_timer_ = 0;
 
   struct {
     obs::Counter* resolves = nullptr;
@@ -187,7 +167,6 @@ class Fabric final : public Resolver::Host {
     obs::Counter* hint_sync_merged = nullptr;
     obs::Counter* hint_sync_rejected = nullptr;
     obs::Counter* retractions = nullptr;
-    obs::Counter* refreshes = nullptr;
   } ins_;
 };
 

@@ -14,51 +14,39 @@ std::optional<RegionDescriptor> RegionDirectory::lookup(
   // Find the last entry with base <= addr, then verify containment.
   auto it = cache_.upper_bound(addr);
   if (it == cache_.begin()) {
-    ++stats_.misses;
     if (misses_ != nullptr) misses_->inc();
     return std::nullopt;
   }
   --it;
   if (!it->second.desc.range.contains(addr)) {
-    ++stats_.misses;
     if (misses_ != nullptr) misses_->inc();
     return std::nullopt;
   }
   lru_.erase(it->second.lru_pos);
   lru_.push_front(it->first);
   it->second.lru_pos = lru_.begin();
-  ++stats_.hits;
   if (hits_ != nullptr) hits_->inc();
   return it->second.desc;
 }
 
-void RegionDirectory::insert(const RegionDescriptor& desc, Micros stamp) {
+void RegionDirectory::insert(const RegionDescriptor& desc) {
   std::lock_guard lk(mu_);
   auto it = cache_.find(desc.range.base);
   if (it != cache_.end()) {
     it->second.desc = desc;
-    it->second.stamp = stamp;
     lru_.erase(it->second.lru_pos);
     lru_.push_front(it->first);
     it->second.lru_pos = lru_.begin();
     return;
   }
   lru_.push_front(desc.range.base);
-  cache_.emplace(desc.range.base, Entry{desc, lru_.begin(), stamp});
+  cache_.emplace(desc.range.base, Entry{desc, lru_.begin()});
   while (capacity_ != 0 && cache_.size() > capacity_) {
     const GlobalAddress victim = lru_.back();
     lru_.pop_back();
     cache_.erase(victim);
     if (evictions_ != nullptr) evictions_->inc();
   }
-}
-
-std::optional<Micros> RegionDirectory::stamp_of(
-    const GlobalAddress& base) const {
-  std::lock_guard lk(mu_);
-  auto it = cache_.find(base);
-  if (it == cache_.end()) return std::nullopt;
-  return it->second.stamp;
 }
 
 std::vector<RegionDescriptor> RegionDirectory::snapshot() const {

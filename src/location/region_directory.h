@@ -34,14 +34,8 @@ class RegionDirectory {
   [[nodiscard]] std::optional<RegionDescriptor> lookup(
       const GlobalAddress& addr);
 
-  /// Inserts or refreshes a descriptor (keyed by region base). `stamp` is
-  /// the insert time; the fabric's proactive-refresh pass compares it
-  /// against the descriptor-age TTL (0 = unknown age, always refreshable).
-  void insert(const RegionDescriptor& desc, Micros stamp = 0);
-
-  /// Insert time of the cached descriptor based at `base`, if cached.
-  /// Does not touch LRU order.
-  [[nodiscard]] std::optional<Micros> stamp_of(const GlobalAddress& base) const;
+  /// Inserts or refreshes a descriptor (keyed by region base).
+  void insert(const RegionDescriptor& desc);
 
   /// Drops the cached descriptor covering `addr` (stale-hint recovery).
   void invalidate(const GlobalAddress& addr);
@@ -56,16 +50,7 @@ class RegionDirectory {
     return cache_.size();
   }
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-  [[nodiscard]] Stats stats() const {
-    std::lock_guard lk(mu_);
-    return stats_;
-  }
-
-  /// Mirrors hit/miss/eviction counts into the owning node's registry
+  /// Counts hits, misses and evictions in the owning node's registry
   /// (region_dir.hits / region_dir.misses / region_dir.evictions).
   void bind_metrics(obs::MetricsRegistry& registry);
 
@@ -73,7 +58,6 @@ class RegionDirectory {
   struct Entry {
     RegionDescriptor desc;
     std::list<GlobalAddress>::iterator lru_pos;
-    Micros stamp = 0;
   };
 
   std::size_t capacity_;
@@ -83,7 +67,6 @@ class RegionDirectory {
   mutable std::mutex mu_;
   std::map<GlobalAddress, Entry> cache_;  // keyed by region base
   std::list<GlobalAddress> lru_;          // front = most recent
-  Stats stats_;
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;
   obs::Counter* evictions_ = nullptr;

@@ -19,10 +19,6 @@ ErrorCode from_wire(std::uint8_t b) { return static_cast<ErrorCode>(b); }
 }  // namespace
 
 Resolver::Resolver(Host& host, obs::MetricsRegistry& metrics) : host_(host) {
-  ins_.cache_hits = &metrics.counter("node.resolve_cache_hits");
-  ins_.manager_hits = &metrics.counter("node.resolve_manager_hits");
-  ins_.map_walks = &metrics.counter("node.resolve_map_walks");
-  ins_.cluster_walks = &metrics.counter("node.resolve_cluster_walks");
   ins_.region_dir_us = &metrics.histogram("resolve.region_dir_us");
   ins_.manager_hint_us = &metrics.histogram("resolve.manager_hint_us");
   ins_.map_walk_us = &metrics.histogram("resolve.map_walk_us");
@@ -57,7 +53,6 @@ void Resolver::resolve(const GlobalAddress& addr, DescCb cb) {
   }
   // Level 1: region directory (possibly stale; used optimistically).
   if (auto cached = host_.region_cache().lookup(addr)) {
-    ins_.cache_hits->inc();
     // Effectively free, but recording it keeps the hit-class latency mix
     // comparable across the resolve.* histograms.
     ins_.region_dir_us->record(host_.now() - t0);
@@ -74,7 +69,6 @@ void Resolver::resolve_via_manager(const GlobalAddress& addr, Micros t0,
   if (host_.is_manager()) {
     const auto nodes = host_.manager_hint(addr);
     if (!nodes.empty()) {
-      ins_.manager_hits->inc();
       fetch_descriptor(nodes, addr, t0, HitClass::kManager, std::move(cb));
     } else {
       resolve_via_map_walk(addr, t0, std::move(cb));
@@ -110,7 +104,6 @@ void Resolver::resolve_via_manager(const GlobalAddress& addr, Micros t0,
               nodes.push_back(d.u32());
             }
             if (!nodes.empty()) {
-              ins_.manager_hits->inc();
               fetch_descriptor(std::move(nodes), addr, t0, HitClass::kManager,
                                std::move(cb));
               return;
@@ -125,7 +118,6 @@ void Resolver::resolve_via_manager(const GlobalAddress& addr, Micros t0,
 
 void Resolver::resolve_via_map_walk(const GlobalAddress& addr, Micros t0,
                                     DescCb cb) {
-  ins_.map_walks->inc();
   map_walk_step(0, addr, 0, t0, std::move(cb));
 }
 
@@ -184,7 +176,7 @@ void Resolver::fetch_descriptor(std::vector<NodeId> candidates,
         }
         (void)d.u8();  // status byte; the accept predicate saw kOk
         RegionDescriptor desc = RegionDescriptor::decode(d);
-        host_.region_cache().insert(desc, host_.now());
+        host_.region_cache().insert(desc);
         const Micros lat = host_.now() - t0;
         if (auto* hist = hist_for(cls)) hist->record(lat);
         host_.note_resolved(cls, lat);
@@ -195,7 +187,6 @@ void Resolver::fetch_descriptor(std::vector<NodeId> candidates,
 
 void Resolver::resolve_via_cluster_walk(const GlobalAddress& addr, Micros t0,
                                         DescCb cb) {
-  ins_.cluster_walks->inc();
   std::vector<NodeId> targets;
   for (NodeId n : host_.membership()) {
     if (n != host_.self()) targets.push_back(n);
@@ -226,7 +217,7 @@ void Resolver::resolve_via_cluster_walk(const GlobalAddress& addr, Micros t0,
             RegionDescriptor desc = RegionDescriptor::decode(d);
             st->done = true;
             const Micros lat = host_.now() - t0;
-            host_.region_cache().insert(desc, host_.now());
+            host_.region_cache().insert(desc);
             ins_.cluster_walk_us->record(lat);
             host_.note_resolved(HitClass::kClusterWalk, lat);
             st->cb(std::move(desc));

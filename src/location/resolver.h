@@ -51,7 +51,7 @@ class Resolver {
     virtual ~Host() = default;
     [[nodiscard]] virtual NodeId self() const = 0;
     [[nodiscard]] virtual NodeId genesis() const = 0;
-    [[nodiscard]] virtual std::vector<NodeId> managers() const = 0;
+    [[nodiscard]] virtual const std::vector<NodeId>& managers() const = 0;
     [[nodiscard]] virtual bool is_manager() const = 0;
     virtual std::vector<NodeId> membership() = 0;
     [[nodiscard]] virtual Micros now() const = 0;
@@ -122,10 +122,6 @@ class Resolver {
   Host& host_;
 
   struct {
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* manager_hits = nullptr;
-    obs::Counter* map_walks = nullptr;
-    obs::Counter* cluster_walks = nullptr;
     obs::Histogram* region_dir_us = nullptr;
     obs::Histogram* manager_hint_us = nullptr;
     obs::Histogram* map_walk_us = nullptr;

@@ -21,7 +21,7 @@
 namespace khz::net {
 
 /// Wire-level counters for one transport endpoint (observability for tests
-/// and benches, mirroring core::NodeStats). All values are cumulative since
+/// and benches). All values are cumulative since
 /// start() except `queued_bytes`, a point-in-time gauge of the outbound
 /// backlog across all peers.
 struct TransportStats {

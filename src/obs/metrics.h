@@ -2,7 +2,7 @@
 //
 // The paper's evaluation is about *where time goes* when an operation
 // crosses the resolve -> home-node -> consistency-manager chain. Flat
-// counters (NodeStats) cannot attribute latency to a hop, so every node
+// counters cannot attribute latency to a hop, so every node
 // carries a MetricsRegistry of counters and histograms that the client-op,
 // resolve, CREW and transport layers record into. Registries are cheap to
 // read concurrently (atomics; the registry mutex only guards the name map),

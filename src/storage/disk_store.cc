@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "common/log.h"
@@ -12,8 +11,20 @@ namespace khz::storage {
 
 namespace fs = std::filesystem;
 
-DiskStore::DiskStore(fs::path root, std::size_t capacity_pages,
-                     std::uint64_t segment_bytes)
+namespace {
+
+/// fsyncs the file or directory at `path`, opened with `flags`.
+bool sync_path(const fs::path& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
+}  // namespace
+
+DiskStore::DiskStore(fs::path root, std::size_t capacity_pages)
     : root_(std::move(root)), capacity_(capacity_pages) {
   std::error_code ec;
   fs::create_directories(root_, ec);
@@ -21,37 +32,7 @@ DiskStore::DiskStore(fs::path root, std::size_t capacity_pages,
     KHZ_ERROR("disk: cannot create %s: %s", root_.c_str(),
               ec.message().c_str());
   }
-  SegmentConfig cfg;
-  cfg.segment_bytes = segment_bytes;
-  segments_ = std::make_unique<SegmentStore>(root_ / "segments", cfg);
-  // Migrate any pre-segment-store layout (one "<hi>_<lo>.page" file per
-  // page) into the log, so a node upgraded in place keeps its data.
-  std::size_t migrated = 0;
-  for (const auto& entry : fs::directory_iterator(root_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (!name.ends_with(".page")) continue;
-    unsigned long long hi = 0;
-    unsigned long long lo = 0;
-    if (std::sscanf(name.c_str(), "%16llx_%16llx.page", &hi, &lo) != 2) {
-      continue;
-    }
-    std::ifstream in(entry.path(), std::ios::binary | std::ios::ate);
-    if (!in) continue;
-    Bytes data(static_cast<std::size_t>(in.tellg()));
-    in.seekg(0);
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-    if (!in) continue;
-    if (segments_->put(GlobalAddress{hi, lo}, data).ok()) {
-      fs::remove(entry.path(), ec);
-      ++migrated;
-    }
-  }
-  if (migrated > 0) {
-    (void)segments_->commit();
-    KHZ_INFO("disk: migrated %zu legacy page files into the segment log",
-             migrated);
-  }
+  segments_ = std::make_unique<SegmentStore>(root_ / "segments");
   journal_ = std::make_unique<MetaJournal>(root_ / "meta.journal");
 }
 
@@ -96,14 +77,9 @@ Status DiskStore::commit() {
 }
 
 Status DiskStore::maybe_commit() {
-  if (group_commit_) {
-    if (group_commit_bytes_ > 0 &&
-        segments_->pending_bytes() >= group_commit_bytes_) {
-      return commit();
-    }
-    return {};  // the owner's group-commit timer drains the rest
-  }
-  if (sync_on_commit_) return commit();  // per-write fdatasync baseline
+  // Under group commit the owner's timer drains the batch; without it,
+  // sync-on-commit is the per-write fdatasync baseline.
+  if (!group_commit_ && sync_on_commit_) return commit();
   return {};
 }
 
@@ -113,29 +89,34 @@ void DiskStore::set_sync_on_commit(bool on) {
   journal_->set_sync_on_commit(on);
 }
 
-void DiskStore::set_group_commit(bool on, std::uint64_t bytes_threshold) {
+void DiskStore::set_group_commit(bool on) {
   group_commit_ = on;
-  group_commit_bytes_ = bytes_threshold;
   journal_->set_group_commit(on);
 }
 
 Status DiskStore::put_meta(const std::string& name, const Bytes& data) {
   const fs::path path = root_ / (name + ".meta");
+  const fs::path tmp = root_ / (name + ".meta.tmp");
+  bool ok = false;
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) return ErrorCode::kInternal;
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(data.data()),
               static_cast<std::streamsize>(data.size()));
-    if (!out) return ErrorCode::kInternal;
+    out.close();
+    ok = !out.fail();
   }
-  if (sync_on_commit_) {
-    // Meta blobs are checkpoint snapshots: they must hit the platter
-    // before the journal they supersede is truncated.
-    const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-    if (fd < 0) return ErrorCode::kInternal;
-    const bool ok = ::fdatasync(fd) == 0;
-    ::close(fd);
-    if (!ok) return ErrorCode::kInternal;
+  // Meta blobs are checkpoint snapshots: they must hit the platter before
+  // the journal they supersede is truncated.
+  if (ok && sync_on_commit_) ok = sync_path(tmp, O_WRONLY);
+  std::error_code ec;
+  if (ok) fs::rename(tmp, path, ec);
+  if (!ok || ec) {
+    fs::remove(tmp, ec);
+    return ErrorCode::kInternal;
+  }
+  // The rename is durable only once the directory entry is.
+  if (sync_on_commit_ && !sync_path(root_, O_RDONLY | O_DIRECTORY)) {
+    return ErrorCode::kInternal;
   }
   return {};
 }

@@ -11,14 +11,14 @@
 //
 // Durability contract (docs/storage.md):
 //   * put()/erase() append to the segment log write-behind; put_meta()
-//     writes (and, when syncing, fsyncs) its sidecar immediately.
+//     replaces its sidecar immediately and atomically (temporary file plus
+//     rename, both synced when syncing).
 //   * commit() makes everything appended so far — segment records and
 //     journal records — durable with one fdatasync per dirty file.
 //   * maybe_commit() is the group-commit policy point: under group commit
-//     it commits only past the bytes threshold (the owner's timer drains
-//     the rest); without group commit but with sync-on-commit it commits
-//     inline, which is the per-write-fdatasync baseline the bench measures
-//     against.
+//     it does nothing (the owner's timer drains the batch); without group
+//     commit but with sync-on-commit it commits inline, which is the
+//     per-write-fdatasync baseline the bench measures against.
 #pragma once
 
 #include <filesystem>
@@ -39,11 +39,9 @@ namespace khz::storage {
 class DiskStore {
  public:
   /// Opens (creating if needed) the store under `root`. capacity_pages == 0
-  /// means unbounded. Pre-segment-store page files (`*.page`) found under
-  /// the root are migrated into the segment log and removed.
+  /// means unbounded.
   explicit DiskStore(std::filesystem::path root,
-                     std::size_t capacity_pages = 0,
-                     std::uint64_t segment_bytes = 8ull << 20);
+                     std::size_t capacity_pages = 0);
 
   /// Appends the page to the segment log (write-behind; see the durability
   /// contract above). kNoSpace once the page capacity is reached.
@@ -71,19 +69,13 @@ class DiskStore {
   Status commit();
   /// Policy point called after each durable append (see header comment).
   Status maybe_commit();
-  /// Segment-log bytes awaiting commit (the group_commit_bytes input).
-  [[nodiscard]] std::uint64_t pending_bytes() const {
-    return segments_->pending_bytes();
-  }
 
   /// Enables fdatasync-at-commit for pages, journal and meta sidecars
   /// (NodeConfig::sync_metadata).
   void set_sync_on_commit(bool on);
   /// Enables group commit: appends stop syncing inline and durability is
-  /// deferred to commit()/maybe_commit(). `bytes_threshold` > 0 makes
-  /// maybe_commit() drain once that much segment data is pending; 0 leaves
-  /// draining entirely to the owner's timer.
-  void set_group_commit(bool on, std::uint64_t bytes_threshold = 0);
+  /// deferred to the owner's commit() timer.
+  void set_group_commit(bool on);
   [[nodiscard]] bool group_commit() const { return group_commit_; }
 
   /// Checkpoint/compaction: rewrites live pages out of cold segments and
@@ -96,10 +88,13 @@ class DiskStore {
   /// Registers the storage.* instruments (docs/observability.md).
   void bind_metrics(obs::MetricsRegistry& m) { segments_->bind_metrics(m); }
 
-  /// Named metadata blobs (not part of the page namespace). With
-  /// sync-on-commit enabled a put_meta is fsynced before returning: meta
+  /// Named metadata blobs (not part of the page namespace). put_meta
+  /// writes "<name>.meta.tmp" and renames it over "<name>.meta", so a
+  /// crash or a failed write leaves the old blob or the new one whole,
+  /// never a cut-short file. With sync-on-commit enabled the file is
+  /// fdatasync'd before the rename and the directory fsync'd after: meta
   /// blobs are checkpoint snapshots, which must be durable before the
-  /// journal they replace is truncated.
+  /// journal they replace is truncated. Any error leaves the old blob.
   Status put_meta(const std::string& name, const Bytes& data);
   [[nodiscard]] std::optional<Bytes> get_meta(const std::string& name) const;
 
@@ -118,7 +113,6 @@ class DiskStore {
   std::size_t capacity_;
   bool sync_on_commit_ = false;
   bool group_commit_ = false;
-  std::uint64_t group_commit_bytes_ = 0;
   std::unique_ptr<SegmentStore> segments_;
   std::unique_ptr<MetaJournal> journal_;
 };

@@ -13,8 +13,8 @@
 //   * Durability is **group commit**: commit() flushes the buffer and
 //     issues one fdatasync covering every record appended since the last
 //     commit. The owner (core::Node) drains on a timer tick
-//     (group_commit_us) or a pending-bytes threshold (group_commit_bytes),
-//     amortizing one sync over a whole batch of page writes — and, through
+//     (group_commit_us), amortizing one sync over a whole batch of page
+//     writes — and, through
 //     DiskStore::commit(), the MetaJournal's records too.
 //   * An in-memory index (address -> segment/offset/length) is the only
 //     lookup structure; it is rebuilt on open by scanning the segments in
@@ -105,8 +105,7 @@ class SegmentStore {
   /// the destructor's buffer flush provides.
   void set_sync_on_commit(bool on) { sync_on_commit_ = on; }
 
-  /// Payload bytes appended since the last commit() — the owner's
-  /// group_commit_bytes threshold input.
+  /// Payload bytes appended since the last commit().
   [[nodiscard]] std::uint64_t pending_bytes() const;
   [[nodiscard]] std::uint64_t pending_pages() const;
 

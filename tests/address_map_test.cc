@@ -4,9 +4,9 @@
 #include <map>
 
 #include "common/rng.h"
-#include "core/address_map.h"
+#include "location/address_map.h"
 
-namespace khz::core {
+namespace khz::location {
 namespace {
 
 /// In-memory page store for direct tree testing.
@@ -226,31 +226,6 @@ TEST_F(AddressMapTest, SurvivesStoreRoundTrip) {
   EXPECT_TRUE(reopened.lookup({0, 1250}).has_value());
 }
 
-TEST_F(AddressMapTest, RebalanceSplitsSkewedPages) {
-  // A skewed workload packs entries into one address neighbourhood, so
-  // insertion's overflow splits leave one near-full hot leaf. Rebalancing
-  // at half occupancy spreads the entries over more pages without changing
-  // what any lookup returns.
-  for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(
-        map_.insert(r(static_cast<std::uint64_t>(i) * 100, 50), {1}).ok());
-  }
-  const auto before_pages = map_.pages_used();
-  const auto before_entries = map_.entries();
-
-  const std::size_t splits = map_.rebalance(AddressMap::kMaxEntries / 2);
-  EXPECT_GT(splits, 0u);
-  EXPECT_GT(map_.pages_used(), before_pages);
-  EXPECT_EQ(map_.entries().size(), before_entries.size());
-  for (const auto& e : before_entries) {
-    const auto hit = map_.lookup(e.range.base);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->range, e.range);
-  }
-  // Already balanced: a second pass is a no-op.
-  EXPECT_EQ(map_.rebalance(AddressMap::kMaxEntries / 2), 0u);
-}
-
 TEST_F(AddressMapTest, HugeAddressesBeyond64Bits) {
   const AddressRange high{{42, 0}, 4096};
   ASSERT_TRUE(map_.insert(high, {1}).ok());
@@ -260,4 +235,4 @@ TEST_F(AddressMapTest, HugeAddressesBeyond64Bits) {
 }
 
 }  // namespace
-}  // namespace khz::core
+}  // namespace khz::location

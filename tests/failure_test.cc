@@ -114,7 +114,9 @@ TEST(FailureTest, UnreserveToDeadHomeRetriesInBackground) {
   world.net().set_node_up(1, true);
   world.pump_for(2'000'000);
   EXPECT_EQ(world.node(2).background_queue_depth(), 0u);  // drained
-  EXPECT_GT(world.node(2).stats().background_retries, 0u);
+  EXPECT_GT(
+      world.node(2).metrics().counter("node.background_retries").value(),
+      0u);
 }
 
 TEST(FailureTest, SharerCrashDuringInvalidationDoesNotWedgeWrites) {

@@ -345,15 +345,15 @@ TEST_F(KfsTest, ContiguousUsesFewerLockOperations) {
   ASSERT_TRUE(bf.ok());
   const Bytes data = blob(8 * kBlockSize);
 
-  const auto locks_before_c = world_.node(0).stats().locks_granted;
+  const obs::Counter& granted =
+      world_.node(0).metrics().counter("node.locks_granted");
+  const auto locks_before_c = granted.value();
   ASSERT_TRUE(fs.value().write(cf.value(), 0, data).ok());
-  const auto contig_locks =
-      world_.node(0).stats().locks_granted - locks_before_c;
+  const auto contig_locks = granted.value() - locks_before_c;
 
-  const auto locks_before_b = world_.node(0).stats().locks_granted;
+  const auto locks_before_b = granted.value();
   ASSERT_TRUE(fs.value().write(bf.value(), 0, data).ok());
-  const auto block_locks =
-      world_.node(0).stats().locks_granted - locks_before_b;
+  const auto block_locks = granted.value() - locks_before_b;
 
   EXPECT_LT(contig_locks, block_locks);
 }

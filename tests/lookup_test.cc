@@ -12,6 +12,14 @@ using consistency::LockMode;
 
 Bytes fill(std::size_t n, std::uint8_t v) { return Bytes(n, v); }
 
+/// Resolves on node `n` that the given lookup level answered.
+std::uint64_t hits(SimWorld& world, NodeId n, const char* level) {
+  return world.node(n)
+      .metrics()
+      .counter(std::string("location.hits.") + level)
+      .value();
+}
+
 TEST(LookupTest, FirstRemoteAccessUsesManagerHint) {
   SimWorld world({.nodes = 3});
   auto base = world.create_region(1, 4096);
@@ -20,8 +28,8 @@ TEST(LookupTest, FirstRemoteAccessUsesManagerHint) {
   // Node 2 has never heard of the region: its resolve should hit the
   // cluster manager's hint cache (level 2), not the map walk.
   ASSERT_TRUE(world.get(2, {base.value(), 4096}).ok());
-  EXPECT_EQ(world.node(2).stats().resolve_manager_hits, 1u);
-  EXPECT_EQ(world.node(2).stats().resolve_map_walks, 0u);
+  EXPECT_EQ(hits(world, 2, "manager"), 1u);
+  EXPECT_EQ(hits(world, 2, "map_walk"), 0u);
 }
 
 TEST(LookupTest, SecondAccessHitsRegionDirectory) {
@@ -29,10 +37,10 @@ TEST(LookupTest, SecondAccessHitsRegionDirectory) {
   auto base = world.create_region(1, 4096);
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(world.get(2, {base.value(), 4096}).ok());
-  const auto walks_before = world.node(2).stats().resolve_manager_hits;
+  const auto walks_before = hits(world, 2, "manager");
   ASSERT_TRUE(world.get(2, {base.value(), 4096}).ok());
-  EXPECT_GE(world.node(2).stats().resolve_cache_hits, 1u);
-  EXPECT_EQ(world.node(2).stats().resolve_manager_hits, walks_before);
+  EXPECT_GE(hits(world, 2, "region_dir"), 1u);
+  EXPECT_EQ(hits(world, 2, "manager"), walks_before);
 }
 
 TEST(LookupTest, MapWalkFindsRegionWhenManagerHintMisses) {
@@ -44,7 +52,7 @@ TEST(LookupTest, MapWalkFindsRegionWhenManagerHintMisses) {
   // Erase the manager's hint state to force the level-3 tree walk.
   world.node(0).cluster_state().clear();
   ASSERT_TRUE(world.get(2, {base.value(), 4096}).ok());
-  EXPECT_GE(world.node(2).stats().resolve_map_walks, 1u);
+  EXPECT_GE(hits(world, 2, "map_walk"), 1u);
 }
 
 TEST(LookupTest, ClusterWalkRecoversWhenMapLags) {
@@ -65,7 +73,7 @@ TEST(LookupTest, ClusterWalkRecoversWhenMapLags) {
   auto r = world.get(2, {base.value(), 4096});
   ASSERT_TRUE(r.ok()) << to_string(r.error());
   EXPECT_EQ(r.value()[0], 2);
-  EXPECT_GE(world.node(2).stats().resolve_cluster_walks, 1u);
+  EXPECT_GE(hits(world, 2, "cluster_walk"), 1u);
 }
 
 TEST(LookupTest, StaleDirectoryEntryRecoversThroughNextCandidate) {

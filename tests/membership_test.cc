@@ -103,7 +103,6 @@ TEST(MembershipTest, LateJoinerLearnsMembershipAndParticipates) {
   NodeConfig cfg;
   cfg.id = 7;
   cfg.genesis = 0;
-  cfg.cluster_manager = 0;
   cfg.peers = {0, 7};
   Node late(cfg, transport);
   late.start();

@@ -60,7 +60,8 @@ TEST(MultiManagerTest, HintQueryFallsOverToBackupManager) {
   auto r = world.get(3, {base.value(), 4096});
   ASSERT_TRUE(r.ok()) << to_string(r.error());
   EXPECT_EQ(r.value()[0], 3);
-  EXPECT_GE(world.node(3).stats().resolve_manager_hits, 1u);
+  EXPECT_GE(
+      world.node(3).metrics().counter("location.hits.manager").value(), 1u);
 }
 
 TEST(MultiManagerTest, SingleManagerConfigStillWorks) {

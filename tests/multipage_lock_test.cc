@@ -108,7 +108,8 @@ TEST(MultiPageLock, PartialFailureReleasesEveryGrantedPage) {
     EXPECT_EQ(info.write_holds, 0u) << "page " << p;
     EXPECT_EQ(info.read_holds, 0u) << "page " << p;
   }
-  EXPECT_EQ(world.node(1).stats().locks_failed, 1u);
+  EXPECT_EQ(world.node(1).metrics().counter("node.locks_failed").value(),
+            1u);
 
   // The released pages are actually reusable: a lock over just the pages
   // node 1 still owns succeeds without the home.
@@ -344,7 +345,8 @@ TEST(MultiRangeBatch, UnallocatedRangeFailsTheWholeBatch) {
       1, {{ranges[0], Bytes(8, 1)}, {ranges[1], Bytes(8, 2)},
           {ranges[2], Bytes(8, 3)}});
   EXPECT_EQ(put.error(), ErrorCode::kNotAllocated);
-  EXPECT_EQ(world.node(1).stats().locks_failed, 2u);
+  EXPECT_EQ(world.node(1).metrics().counter("node.locks_failed").value(),
+            2u);
 
   // No hold leaked: node 1 holds nothing, and node 2 can write-lock every
   // other range.

@@ -238,11 +238,11 @@ TEST(NodeOps, StatsCountOperations) {
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(world.put(1, {base.value(), 4096}, fill(4096, 1)).ok());
   ASSERT_TRUE(world.get(1, {base.value(), 4096}).ok());
-  const auto& s = world.node(1).stats();
-  EXPECT_EQ(s.locks_granted, 2u);
-  EXPECT_EQ(s.reads, 1u);
-  EXPECT_EQ(s.writes, 1u);
-  EXPECT_EQ(world.node(0).stats().reserves, 1u);
+  auto& m = world.node(1).metrics();
+  EXPECT_EQ(m.counter("node.locks_granted").value(), 2u);
+  EXPECT_EQ(m.counter("node.reads").value(), 1u);
+  EXPECT_EQ(m.counter("node.writes").value(), 1u);
+  EXPECT_EQ(world.node(0).metrics().counter("node.reserves").value(), 1u);
 }
 
 TEST(NodeOps, ZeroLengthLockIsRejected) {

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "core/client.h"
-#include "core/region.h"
 #include "net/message.h"
 
 namespace khz::core {

@@ -3,8 +3,11 @@
 // crash/reboot fault injection, and home promotion keeping writes available
 // after the home dies.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 
@@ -314,6 +317,133 @@ TEST(RecoveryTest, TornWriteOnCrashedNodeReplaysGroupCommittedState) {
   auto remote = world.get(0, {base.value(), 4096});
   ASSERT_TRUE(remote.ok()) << to_string(remote.error());
   EXPECT_EQ(remote.value(), v1);
+}
+
+// ---------------------------------------------------------------------------
+// Metadata checkpoints
+// ---------------------------------------------------------------------------
+
+TEST(RecoveryTest, CheckpointCutShortKeepsEveryRegionAndPageVersion) {
+  // A forked "node" checkpoints region a, journals region b and more page
+  // versions, then dies right after a second snapshot write that failed
+  // part-way (the file-size limit cuts it, as a full disk or a kill
+  // mid-write would). The store it leaves must reopen with everything:
+  // the old snapshot plus the whole journal.
+  TempDir tmp;
+  const fs::path root = tmp.path() / "store";
+  const auto region = [](std::uint64_t base) {
+    RegionDescriptor d;
+    d.range = {{0, base}, 4 * 4096};
+    d.home_nodes = {1};
+    return d;
+  };
+  MetaLog::Snapshot want;
+  want.granted_bytes = 1 << 20;
+  want.regions[{0, 0x10000}] = region(0x10000);
+  want.regions[{0, 0x20000}] = region(0x20000);
+  for (std::uint64_t p = 0; p < 4; ++p) {
+    want.page_versions[{0, 0x10000 + p * 4096}] = 3 + p;
+    want.page_versions[{0, 0x20000 + p * 4096}] = 7 + p;
+  }
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    auto disk = std::make_shared<storage::DiskStore>(root);
+    storage::StorageHierarchy storage(16, disk);
+    MetaLog::Snapshot state;
+    MetaLog log(storage, 1, [&] { return state; });
+    const auto record = [&](const GlobalAddress& base) {
+      state.regions[base] = want.regions.at(base);
+      log.record_region(state.regions[base]);
+      for (auto it = want.page_versions.lower_bound(base);
+           it != want.page_versions.end() &&
+           state.regions[base].range.contains(it->first);
+           ++it) {
+        state.page_versions[it->first] = it->second;
+        log.record_page(it->first, it->second);
+      }
+    };
+    state.granted_bytes = want.granted_bytes;
+    log.record_pool(state.granted_bytes, state.pool);
+    record({0, 0x10000});
+    if (!log.checkpoint().ok()) ::_exit(2);
+    record({0, 0x20000});  // journal only
+    // No file may grow past 16 bytes from here on: the snapshot write
+    // fails with EFBIG instead of raising SIGXFSZ.
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lim{};
+    ::getrlimit(RLIMIT_FSIZE, &lim);
+    lim.rlim_cur = 16;
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) ::_exit(3);
+    ::_exit(log.checkpoint().ok() ? 4 : 0);  // no destructor runs
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0) << "the cut snapshot must report failure";
+
+  auto disk = std::make_shared<storage::DiskStore>(root);
+  storage::StorageHierarchy storage(16, disk);
+  MetaLog log(storage, 1, [] { return MetaLog::Snapshot{}; });
+  const MetaLog::Snapshot got = log.recover();
+  EXPECT_EQ(got.granted_bytes, want.granted_bytes);
+  ASSERT_EQ(got.regions.size(), want.regions.size());
+  for (const auto& [base, desc] : want.regions) {
+    ASSERT_TRUE(got.regions.contains(base));
+    EXPECT_EQ(got.regions.at(base).range, desc.range);
+  }
+  EXPECT_EQ(got.page_versions, want.page_versions);
+}
+
+TEST(RecoveryTest, CheckpointTimerCompactsSegmentsAndRestartServesPages) {
+  // The checkpoint timer snapshots the metadata journal and compacts cold
+  // segments under a per-tick page budget. A cold region written once sits
+  // in the first segment; a hot region overwritten ~34 MiB's worth seals
+  // four more. Compaction must copy the cold pages out, unlink the dead
+  // segments, and leave a store that restarts byte-identically.
+  TempDir tmp;
+  SimWorld world({.nodes = 2,
+                  .disk_root = tmp.path(),
+                  .checkpoint_interval = 100'000,
+                  .compaction_pages_per_tick = 64});
+  constexpr std::uint64_t kCold = 16 * 4096;
+  constexpr std::uint64_t kHot = 64 * 4096;
+  auto cold = world.create_region(1, kCold);
+  auto hot = world.create_region(1, kHot);
+  ASSERT_TRUE(cold.ok());
+  ASSERT_TRUE(hot.ok());
+  const auto pattern = [](std::uint64_t n, std::uint8_t salt) {
+    Bytes b(n);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = static_cast<std::uint8_t>(i * 31 + salt);
+    }
+    return b;
+  };
+  ASSERT_TRUE(world.put(1, {cold.value(), kCold}, pattern(kCold, 0xC0)).ok());
+  for (int round = 0; round < 128; ++round) {
+    ASSERT_TRUE(world
+                    .put(1, {hot.value(), kHot},
+                         pattern(kHot, static_cast<std::uint8_t>(round)))
+                    .ok());
+  }
+  auto& metrics = world.node(1).metrics();
+  const auto live_before = metrics.gauge("storage.segments_live").value();
+  EXPECT_GE(live_before, 5);
+
+  world.pump_for(1'000'000);  // ten checkpoint ticks
+  EXPECT_GT(metrics.counter("storage.compaction_pages").value(), 0u);
+  EXPECT_LT(metrics.gauge("storage.segments_live").value(), live_before);
+
+  world.restart_node(1);
+  for (NodeId reader : {NodeId{1}, NodeId{0}}) {
+    auto c = world.get(reader, {cold.value(), kCold});
+    ASSERT_TRUE(c.ok()) << to_string(c.error());
+    EXPECT_EQ(c.value(), pattern(kCold, 0xC0));
+    auto h = world.get(reader, {hot.value(), kHot});
+    ASSERT_TRUE(h.ok()) << to_string(h.error());
+    EXPECT_EQ(h.value(), pattern(kHot, 127));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 // (Section 3.2) and cluster-manager state (Section 3.1).
 #include <gtest/gtest.h>
 
-#include "core/cluster.h"
-#include "core/region.h"
-#include "core/region_directory.h"
+#include "location/cluster.h"
+#include "location/region.h"
+#include "location/region_directory.h"
 
-namespace khz::core {
+namespace khz::location {
 namespace {
 
 RegionDescriptor desc(std::uint64_t base, std::uint64_t size,
@@ -139,12 +139,14 @@ TEST(RegionDirectory, LruEvictionAtCapacity) {
 }
 
 TEST(RegionDirectory, StatsCountHitsAndMisses) {
+  obs::MetricsRegistry metrics;
   RegionDirectory dir;
+  dir.bind_metrics(metrics);
   dir.insert(desc(0, 10));
   (void)dir.lookup({0, 5});
   (void)dir.lookup({0, 50});
-  EXPECT_EQ(dir.stats().hits, 1u);
-  EXPECT_EQ(dir.stats().misses, 1u);
+  EXPECT_EQ(metrics.counter("region_dir.hits").value(), 1u);
+  EXPECT_EQ(metrics.counter("region_dir.misses").value(), 1u);
 }
 
 TEST(RegionDirectory, AdjacentRegionsResolveDistinctly) {
@@ -262,4 +264,4 @@ TEST(ClusterState, DigestIsOrderIndependentAndStampSensitive) {
 }
 
 }  // namespace
-}  // namespace khz::core
+}  // namespace khz::location

@@ -379,49 +379,13 @@ TEST(DiskStore, MetaIsNotAPage) {
   EXPECT_EQ(d.size(), 0u);
 }
 
-TEST(DiskStore, MigratesLegacyPageFiles) {
-  TempDir tmp;
-  // Seed-era layout: one "<hi>_<lo>.page" file per page under the root.
-  fs::create_directories(tmp.path());
-  const auto legacy = [&](const char* name, std::uint8_t fill) {
-    std::ofstream out(tmp.path() / name, std::ios::binary);
-    const Bytes data = page(fill);
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
-  };
-  legacy("0000000000000000_0000000000000000.page", 5);
-  legacy("0000000000000001_0000000000001000.page", 6);
-  DiskStore d(tmp.path());
-  EXPECT_EQ(d.size(), 2u);
-  EXPECT_EQ((*d.get({0, 0}))[0], 5);
-  EXPECT_EQ((*d.get({1, 0x1000}))[0], 6);
-  // The legacy files are gone; the pages live in the segment log now.
-  EXPECT_FALSE(fs::exists(tmp.path() / "0000000000000000_0000000000000000.page"));
-  DiskStore d2(tmp.path());
-  EXPECT_EQ(d2.size(), 2u);
-}
-
-TEST(DiskStore, MaybeCommitHonorsBytesThreshold) {
-  TempDir tmp;
-  DiskStore d(tmp.path());
-  d.set_sync_on_commit(true);
-  d.set_group_commit(true, 3 * 4096);
-  ASSERT_TRUE(d.put({0, 0}, page(1)).ok());
-  ASSERT_TRUE(d.maybe_commit().ok());
-  EXPECT_GT(d.pending_bytes(), 0u);  // below threshold: nothing drained
-  ASSERT_TRUE(d.put({0, 4096}, page(2)).ok());
-  ASSERT_TRUE(d.put({0, 8192}, page(3)).ok());
-  ASSERT_TRUE(d.maybe_commit().ok());
-  EXPECT_EQ(d.pending_bytes(), 0u);  // threshold crossed: batch committed
-}
-
 TEST(DiskStore, MaybeCommitInlineWithoutGroupCommit) {
   TempDir tmp;
   DiskStore d(tmp.path());
   d.set_sync_on_commit(true);  // per-write fdatasync baseline
   ASSERT_TRUE(d.put({0, 0}, page(1)).ok());
   ASSERT_TRUE(d.maybe_commit().ok());
-  EXPECT_EQ(d.pending_bytes(), 0u);
+  EXPECT_EQ(d.segments().pending_bytes(), 0u);
 }
 
 // ---------------------------------------------------------------------------
