@@ -8,10 +8,9 @@
 // resolve a 64-region working set and we record where each resolve was
 // answered (hit class) and its virtual-time latency.
 //
-// The experiment runs twice: hint anti-entropy OFF (the pre-fabric
-// behaviour — a rebooted manager's cache refills only via future
-// publications, so cold lookups steered at it fall through to the level-3
-// address-map walk) and ON (managers exchange signed hint digests on the
+// The experiment runs twice: hint anti-entropy OFF (a rebooted manager's
+// cache refills only via future publications, so cold lookups steered at
+// it fall through to the level-3 address-map walk) and ON (managers exchange signed hint digests on the
 // timer rail and merge newest-wins, so rebooted managers recover the hint
 // set from the survivors). The delta in post-churn map walks is the
 // paper's argument for keeping the hint tier convergent.
@@ -86,7 +85,7 @@ struct ChurnResult {
   std::uint64_t retractions = 0;
 };
 
-/// One fabric resolve on `reader`, pumped to completion; returns the
+/// One resolve on `reader`, pumped to completion; returns the
 /// virtual-time latency. Post-churn, with the address map intact, every
 /// lookup must succeed — a failure aborts the bench.
 Micros resolve_once(SimWorld& world, NodeId reader, const GlobalAddress& a) {
@@ -94,7 +93,7 @@ Micros resolve_once(SimWorld& world, NodeId reader, const GlobalAddress& a) {
   bool ok = false;
   const Micros t0 = world.net().now();
   Micros t1 = t0;
-  world.node(reader).fabric().resolve(
+  world.node(reader).resolver().resolve(
       a, [&](Result<core::RegionDescriptor> r) {
         done = true;
         ok = r.ok();

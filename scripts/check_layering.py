@@ -34,9 +34,10 @@ ALLOWED = {
     "net": {"common", "obs"},
     "storage": {"common", "obs"},
     "consistency": {"common", "obs", "net", "storage"},
-    # The location subsystem (fabric / resolver / address map) sits under
-    # core: it sees protocols (region descriptors carry a ProtocolId) but
-    # never the Node — the Fabric::Host bridge keeps that edge out.
+    # The location subsystem (resolver / region directory / hints / address
+    # map) sits under core: it sees protocols (region descriptors carry a
+    # ProtocolId) but never the Node — the Resolver::Host bridge keeps that
+    # edge out.
     "location": {"common", "obs", "net", "storage", "consistency"},
     "core": {"common", "obs", "net", "storage", "consistency", "location"},
     # The application layers sit on top of core but must stay independent

@@ -52,13 +52,6 @@ NodeConfig with_managers(NodeConfig c) {
   return c;
 }
 
-location::FabricConfig make_fabric(const NodeConfig& c) {
-  location::FabricConfig f;
-  f.hint_sync_interval = c.hint_sync_interval;
-  f.free_space_ttl = c.free_space_ttl;
-  return f;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -71,22 +64,20 @@ Node::Node(NodeConfig config, net::Transport& transport)
       rng_(config_.seed + config_.id * 7919),
       disk_(config_.disk_dir.empty()
                 ? nullptr
-                : std::make_shared<storage::DiskStore>(config_.disk_dir,
-                                                       config_.disk_pages)),
+                : std::make_shared<storage::DiskStore>(config_.disk_dir)),
       storage_(config_.ram_pages, disk_),
       tracer_(config_.id),
       flight_(config_.flight_recorder_capacity),
       series_(config_.stats_series_capacity),
-      fabric_(std::make_unique<location::Fabric>(
-          *this, metrics_, make_fabric(config_))),
-      regions_(fabric_->regions()),
-      cluster_(fabric_->cluster()),
+      resolver_(*this, regions_, cluster_, metrics_),
       engine_(*this, make_policy(config_), metrics_),
       meta_(storage_, config_.id, [this] { return snapshot_state(); }),
       admission_(*this, make_admission(config_), metrics_) {
   consistency::register_builtin_protocols();
   if (disk_ != nullptr) configure_disk();
   tracer_.set_clock(&transport_.clock());
+  regions_.bind_metrics(metrics_);
+  cluster_.set_free_space_ttl(config_.free_space_ttl);
   ins_.reserves = &metrics_.counter("node.reserves");
   ins_.locks_granted = &metrics_.counter("node.locks_granted");
   ins_.locks_failed = &metrics_.counter("node.locks_failed");
@@ -109,6 +100,10 @@ Node::Node(NodeConfig config, net::Transport& transport)
   ins_.rpc_attempts = &metrics_.counter("rpc.attempts");
   ins_.rpc_steered = &metrics_.counter("rpc.steered");
   ins_.getattr_us = &metrics_.histogram("op.getattr_us");
+  ins_.hint_sync_rounds = &metrics_.counter("location.hint_sync.rounds");
+  ins_.hint_sync_merged = &metrics_.counter("location.hint_sync.merged");
+  ins_.hint_sync_rejected = &metrics_.counter("location.hint_sync.rejected");
+  ins_.retractions = &metrics_.counter("location.retractions");
   members_.insert(config_.id);
   for (NodeId p : config_.peers) members_.insert(p);
   storage_.set_evict_hook([this](const GlobalAddress& page,
@@ -127,7 +122,6 @@ void Node::stop() {
   // simulator everything is one thread.
   engine_.shutdown();
   admission_.shutdown();
-  if (fabric_) fabric_->stop();
   if (ping_timer_ != 0) {
     transport_.cancel(ping_timer_);
     ping_timer_ = 0;
@@ -135,6 +129,10 @@ void Node::stop() {
   if (sample_timer_ != 0) {
     transport_.cancel(sample_timer_);
     sample_timer_ = 0;
+  }
+  if (hint_sync_timer_ != 0) {
+    transport_.cancel(hint_sync_timer_);
+    hint_sync_timer_ = 0;
   }
   stop_storage_timers();
 }
@@ -191,7 +189,11 @@ void Node::start() {
                                         [this] { sample_tick(); });
   }
   start_storage_timers();
-  fabric_->start();
+  // Only managers hold a hint cache worth exchanging.
+  if (config_.hint_sync_interval > 0 && is_manager()) {
+    hint_sync_timer_ = transport_.schedule(config_.hint_sync_interval,
+                                           [this] { hint_sync_tick(); });
+  }
 }
 
 // ---------------------------------------------------------------------------

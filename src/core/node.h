@@ -41,9 +41,9 @@
 #include "core/rpc_engine.h"
 #include "location/address_map.h"
 #include "location/cluster.h"
-#include "location/fabric.h"
 #include "location/region.h"
 #include "location/region_directory.h"
+#include "location/resolver.h"
 #include "net/transport.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -88,7 +88,6 @@ struct NodeConfig {
   std::size_t ram_pages = 4096;
   /// Empty: diskless node (no persistence). Otherwise the DiskStore root.
   std::filesystem::path disk_dir;
-  std::size_t disk_pages = 0;  // 0 = unbounded
 
   Micros rpc_timeout = 200'000;  // per-exchange timeout before a retry
   int max_retries = 3;           // acquire-side retries before failing back
@@ -136,9 +135,8 @@ struct NodeConfig {
   Micros stats_sample_interval = 0;
   std::size_t stats_series_capacity = 64;
 
-  /// Location fabric (docs/location.md). Manager-to-manager hint
-  /// anti-entropy period (0 = off: hints spread only via client misses,
-  /// the pre-fabric behaviour).
+  /// Location plane (docs/location.md). Manager-to-manager hint
+  /// anti-entropy period (0 = off: hints spread only via client misses).
   Micros hint_sync_interval = 0;
   /// Free-space offers older than this are ignored by pool placement
   /// (0 = offers never expire — the legacy behaviour).
@@ -160,7 +158,7 @@ struct RangeWrite {
 
 class Node final : public consistency::CmHost,
                    public RpcEngine::Host,
-                   public location::Fabric::Host,
+                   public location::Resolver::Host,
                    public AdmissionController::Host {
  public:
   Node(NodeConfig config, net::Transport& transport);
@@ -327,9 +325,8 @@ class Node final : public consistency::CmHost,
   [[nodiscard]] storage::StorageHierarchy& storage() { return storage_; }
   /// Page metadata: sharers, owner, dirty, lock holds.
   [[nodiscard]] storage::PageDirectory& page_directory() { return pages_; }
-  /// The location fabric: resolver, caches and hint anti-entropy behind
-  /// one facade (docs/location.md).
-  [[nodiscard]] location::Fabric& fabric() { return *fabric_; }
+  /// The three-level location lookup (docs/location.md).
+  [[nodiscard]] location::Resolver& resolver() { return resolver_; }
   /// LRU cache of recently used region descriptors (location level 1).
   [[nodiscard]] RegionDirectory& region_directory() { return regions_; }
   /// Current cluster membership as this node believes it (includes self).
@@ -349,7 +346,7 @@ class Node final : public consistency::CmHost,
   }
   /// Manager-side address map (null elsewhere). Tests/benches inspect it.
   [[nodiscard]] AddressMap* address_map() { return map_.get(); }
-  /// Liveness view (up/down verdicts) maintained by the failure detector.
+  /// Cluster-manager hint cache and free-space offers (location level 2).
   [[nodiscard]] ClusterState& cluster_state() { return cluster_; }
   /// Slow-op dossier ring (docs/observability.md); bounded, drop-counted.
   [[nodiscard]] obs::FlightRecorder& flight_recorder() { return flight_; }
@@ -420,11 +417,11 @@ class Node final : public consistency::CmHost,
   void dispatch(const net::Message& m) override;
   void nack(const net::Message& m) override;
 
-  // --- location::Fabric::Host -------------------------------------------
+  // --- location::Resolver::Host -----------------------------------------
   [[nodiscard]] NodeId genesis() const override { return config_.genesis; }
   [[nodiscard]] std::optional<RegionDescriptor> homed_descriptor(
       const GlobalAddress& addr) override;
-  /// One location-plane RPC, backed by the node's engine (the fabric's
+  /// One location-plane RPC, backed by the node's engine (the resolver's
   /// CallSpec maps onto the engine's attempt/steer policy).
   void call(std::vector<NodeId> candidates, net::MsgType type, Bytes payload,
             location::Resolver::Host::CallHandler handler,
@@ -537,6 +534,12 @@ class Node final : public consistency::CmHost,
   void mark_node_down(NodeId node);
   void mark_node_up(NodeId node);
 
+  // Manager hint anti-entropy (docs/location.md): each tick a manager sends
+  // its signed hint set to every live peer manager; both ends merge
+  // newest-wins.
+  void hint_sync_tick();
+  void sync_hints_with(NodeId peer);
+
   // Telemetry plane (docs/observability.md).
   void on_stats_req(const net::Message& m);
   /// Self-sampler tick: diffs the registry against the previous sample and
@@ -585,8 +588,9 @@ class Node final : public consistency::CmHost,
   void stop_storage_timers();
   /// Group-commit timer tick: commits the pending batch, re-arms.
   void commit_tick();
-  /// Checkpoint timer tick: snapshots + truncates the metadata journal and
-  /// compacts cold segments, then re-arms.
+  /// Checkpoint timer tick: snapshots + truncates the metadata journal
+  /// (when anything was journaled since the last snapshot) and compacts
+  /// cold segments, then re-arms.
   void checkpoint_tick();
 
   NodeConfig config_;
@@ -661,14 +665,13 @@ class Node final : public consistency::CmHost,
   /// Registry snapshot at the previous sampler tick (delta baseline).
   obs::MetricsSnapshot last_sample_;
 
-  /// The location fabric: region-directory cache, cluster hint state, the
-  /// resolver, and the anti-entropy loop behind one facade; the node is
-  /// its Host. Declared after metrics_ (instruments bind at construction).
-  /// regions_/cluster_ alias its internals so the pre-fabric call sites
-  /// read unchanged.
-  std::unique_ptr<location::Fabric> fabric_;
-  RegionDirectory& regions_;
-  ClusterState& cluster_;
+  /// The location plane (docs/location.md): the region-directory cache
+  /// (level 1), the hint cache (level 2) and the resolver that walks them,
+  /// with the node as its Host. Declared after metrics_ (instruments bind
+  /// at construction).
+  RegionDirectory regions_;
+  ClusterState cluster_;
+  location::Resolver resolver_;
 
   /// RPC substrate + the subsystems split out of the old god object. All
   /// see the node only through narrow host interfaces. Declared after
@@ -682,6 +685,8 @@ class Node final : public consistency::CmHost,
   std::uint64_t ping_timer_ = 0;
   /// Self-sampler loop timer; cancelled by stop().
   std::uint64_t sample_timer_ = 0;
+  /// Hint anti-entropy timer (managers only); cancelled by stop().
+  std::uint64_t hint_sync_timer_ = 0;
   /// Group-commit drain timer (config_.group_commit_us); cancelled by
   /// stop(), which also commits whatever is still pending.
   std::uint64_t commit_timer_ = 0;
@@ -721,6 +726,12 @@ class Node final : public consistency::CmHost,
     obs::Counter* rpc_attempts = nullptr;
     obs::Counter* rpc_steered = nullptr;
     obs::Histogram* getattr_us = nullptr;
+    /// Hint anti-entropy: rounds started, records merged, payloads
+    /// rejected, and records the failure detector retracted.
+    obs::Counter* hint_sync_rounds = nullptr;
+    obs::Counter* hint_sync_merged = nullptr;
+    obs::Counter* hint_sync_rejected = nullptr;
+    obs::Counter* retractions = nullptr;
   } ins_;
   [[nodiscard]] obs::Histogram* lock_hist(consistency::LockMode mode);
 

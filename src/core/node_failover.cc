@@ -1,6 +1,7 @@
-// Failure detection and home fail-over for core::Node (Section 3.5,
-// docs/recovery.md). Split out of node_handlers.cc so each core TU stays
-// one subsystem.
+// Failure detection, the manager hint anti-entropy that spreads its
+// retractions, and home fail-over for core::Node (Section 3.5,
+// docs/recovery.md, docs/location.md). Split out of node_handlers.cc so
+// each core TU stays one subsystem.
 #include <algorithm>
 
 #include "common/log.h"
@@ -8,6 +9,7 @@
 
 namespace khz::core {
 
+using net::Message;
 using net::MsgType;
 using storage::PageState;
 
@@ -56,7 +58,9 @@ void Node::mark_node_down(NodeId node) {
   // Detector verdict reaches the location plane first: tombstone the dead
   // node out of the hint cache so no lookup is steered at it, and so the
   // retraction propagates to the other managers on the next sync round.
-  fabric_->on_node_down(node);
+  if (const std::size_t n = cluster_.retract_node(node, now()); n > 0) {
+    ins_.retractions->inc(n);
+  }
   // Promote before the protocol cleanup: the CMs' on_node_down reclaims
   // ownership for homed pages, and promotion may have just made this node
   // the home of regions the dead peer owned.
@@ -72,6 +76,69 @@ void Node::mark_node_up(NodeId node) {
   }
   // Reliable sends to this peer paused while it was down; resume them.
   engine_.on_node_up(node);
+}
+
+// ---------------------------------------------------------------------------
+// Manager hint anti-entropy (docs/location.md)
+// ---------------------------------------------------------------------------
+
+void Node::hint_sync_tick() {
+  ins_.hint_sync_rounds->inc();
+  for (NodeId m : managers()) {
+    if (m == config_.id || is_down(m)) continue;
+    sync_hints_with(m);
+  }
+  hint_sync_timer_ = transport_.schedule(config_.hint_sync_interval,
+                                         [this] { hint_sync_tick(); });
+}
+
+void Node::sync_hints_with(NodeId peer) {
+  Encoder e;
+  ClusterState::encode_signed(e, cluster_.entries(), config_.id);
+  RpcEngine::CallOptions opts;
+  opts.max_attempts = 1;  // periodic: a lost round is repaired by the next
+  engine_.call(
+      {peer}, MsgType::kHintSyncReq, std::move(e).take(),
+      [this, peer](bool ok, Decoder& d) {
+        if (!ok) return;
+        if (d.u8() != 0) return;  // peer rejected our digest
+        const auto theirs = ClusterState::decode_signed(d, peer);
+        if (!theirs) {
+          ins_.hint_sync_rejected->inc();
+          return;
+        }
+        if (theirs->empty()) return;  // sets already matched
+        const std::size_t applied = cluster_.merge(
+            *theirs, [this](NodeId n) { return is_down(n); });
+        if (applied > 0) ins_.hint_sync_merged->inc(applied);
+      },
+      std::move(opts));
+}
+
+void Node::on_hint_sync_req(const Message& m) {
+  Decoder d(m.payload);
+  const auto theirs = ClusterState::decode_signed(d, m.src);
+  Encoder resp;
+  if (!theirs) {
+    ins_.hint_sync_rejected->inc();
+    resp.u8(1);  // malformed or digest mismatch: reject, merge nothing
+    resp.u64(0);
+    resp.u32(0);
+    respond(m, MsgType::kHintSyncResp, std::move(resp).take());
+    return;
+  }
+  const std::size_t applied =
+      cluster_.merge(*theirs, [this](NodeId n) { return is_down(n); });
+  if (applied > 0) ins_.hint_sync_merged->inc(applied);
+  resp.u8(0);
+  // Send our (merged) set back only when it still differs from what the
+  // peer showed us — equal digests end the exchange with an empty body.
+  auto mine = cluster_.entries();
+  if (ClusterState::digest_of(mine) == ClusterState::digest_of(*theirs)) {
+    mine.clear();
+  }
+  ClusterState::encode_signed(resp, mine, config_.id);
+  respond(m, MsgType::kHintSyncResp, std::move(resp).take());
 }
 
 // ---------------------------------------------------------------------------

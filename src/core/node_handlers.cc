@@ -226,11 +226,6 @@ void Node::on_hint_publish(const Message& m) {
   cluster_.report_free_space(m.src, pool, now());
 }
 
-void Node::on_hint_sync_req(const Message& m) {
-  Decoder d(m.payload);
-  respond(m, MsgType::kHintSyncResp, fabric_->handle_hint_sync(m.src, d));
-}
-
 void Node::on_cluster_walk_req(const Message& m) {
   Decoder d(m.payload);
   const GlobalAddress addr = d.addr();

@@ -140,7 +140,7 @@ void Node::lock_ranges(std::vector<AddressRange> ranges, LockMode mode,
 
 void Node::resolve_for_lock(const AddressRange& range, LockMode mode,
                             location::Resolver::DescCb cb) {
-  fabric_->resolve(range.base, [this, range, mode, cb = std::move(cb)](
+  resolver_.resolve(range.base, [this, range, mode, cb = std::move(cb)](
                                    Result<RegionDescriptor> r) mutable {
     if (!r) {
       cb(r.error());
@@ -289,7 +289,7 @@ void Node::lock_next_page(std::shared_ptr<LockOp> op) {
     op->prefetch_done = 0;
     op->inflight = 0;
     regions_.invalidate(bounced.range.base);
-    fabric_->resolve(bounced.range.base, [this, op, seg = page.seg](
+    resolver_.resolve(bounced.range.base, [this, op, seg = page.seg](
                                              Result<RegionDescriptor> r) {
       if (!r) {
         op->cb(r.error());

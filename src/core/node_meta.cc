@@ -126,9 +126,11 @@ void Node::commit_tick() {
 void Node::checkpoint_tick() {
   {
     // checkpoint() pulls snapshot_state() re-entrantly; both sides of the
-    // metadata plane run under state_mu_.
+    // metadata plane run under state_mu_. A tick with nothing journaled
+    // since the last snapshot keeps it: rewriting node_state.meta would
+    // cost a file and a directory fsync under sync_metadata for nothing.
     std::lock_guard lk(state_mu_);
-    (void)meta_.checkpoint();
+    if (disk_->journal().appended() > 0) (void)meta_.checkpoint();
   }
   (void)disk_->compact(config_.compaction_pages_per_tick);
   checkpoint_timer_ = transport_.schedule(config_.checkpoint_interval,

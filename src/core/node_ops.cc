@@ -188,7 +188,7 @@ void Node::finish_reserve(const AddressRange& range, const RegionAttrs& attrs,
 }
 
 void Node::unreserve(const GlobalAddress& base, StatusCb cb) {
-  fabric_->resolve(base, [this, base, cb = std::move(cb)](
+  resolver_.resolve(base, [this, base, cb = std::move(cb)](
                     Result<RegionDescriptor> r) mutable {
     if (!r) {
       cb(r.error());
@@ -239,7 +239,7 @@ void Node::allocate(const AddressRange& range, StatusCb cb) {
     cb(ErrorCode::kBadArgument);
     return;
   }
-  fabric_->resolve(range.base, [this, range, cb = std::move(cb)](
+  resolver_.resolve(range.base, [this, range, cb = std::move(cb)](
                           Result<RegionDescriptor> r) mutable {
     if (!r) {
       cb(r.error());
@@ -291,7 +291,7 @@ void Node::deallocate(const AddressRange& range, StatusCb cb) {
     cb(ErrorCode::kBadArgument);
     return;
   }
-  fabric_->resolve(range.base, [this, range, cb = std::move(cb)](
+  resolver_.resolve(range.base, [this, range, cb = std::move(cb)](
                           Result<RegionDescriptor> r) mutable {
     if (!r) {
       cb(r.error());

@@ -39,7 +39,7 @@ void Node::getattr(const GlobalAddress& base, AttrCb cb) {
     maybe_record_slow_op("getattr", watch, span.trace_id);
     cb(std::move(r));
   };
-  fabric_->resolve(base, [this, base, cb = std::move(cb)](
+  resolver_.resolve(base, [this, base, cb = std::move(cb)](
                     Result<RegionDescriptor> r) mutable {
     if (!r) {
       cb(r.error());
@@ -70,7 +70,7 @@ void Node::getattr(const GlobalAddress& base, AttrCb cb) {
 
 void Node::setattr(const GlobalAddress& base, const RegionAttrs& attrs,
                    StatusCb cb) {
-  fabric_->resolve(base, [this, base, attrs, cb = std::move(cb)](
+  resolver_.resolve(base, [this, base, attrs, cb = std::move(cb)](
                     Result<RegionDescriptor> r) mutable {
     if (!r) {
       cb(r.error());
@@ -95,7 +95,7 @@ void Node::setattr(const GlobalAddress& base, const RegionAttrs& attrs,
 }
 
 void Node::locate(const GlobalAddress& addr, LocateCb cb) {
-  fabric_->resolve(addr, [this, addr, cb = std::move(cb)](
+  resolver_.resolve(addr, [this, addr, cb = std::move(cb)](
                     Result<RegionDescriptor> r) mutable {
     if (!r) {
       cb(r.error());
@@ -126,7 +126,7 @@ void Node::locate(const GlobalAddress& addr, LocateCb cb) {
 }
 
 void Node::migrate(const GlobalAddress& base, NodeId new_home, StatusCb cb) {
-  fabric_->resolve(base, [this, base, new_home, cb = std::move(cb)](
+  resolver_.resolve(base, [this, base, new_home, cb = std::move(cb)](
                     Result<RegionDescriptor> r) mutable {
     if (!r) {
       cb(r.error());
@@ -159,7 +159,7 @@ void Node::migrate(const GlobalAddress& base, NodeId new_home, StatusCb cb) {
 
 void Node::replicate_to(const GlobalAddress& base, NodeId target,
                         StatusCb cb) {
-  fabric_->resolve(base, [this, base, target, cb = std::move(cb)](
+  resolver_.resolve(base, [this, base, target, cb = std::move(cb)](
                     Result<RegionDescriptor> r) mutable {
     if (!r) {
       cb(r.error());

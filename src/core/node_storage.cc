@@ -78,10 +78,11 @@ void Node::release_region_pages(const RegionDescriptor& desc,
     storage_.erase(p);
     pages_.erase(p);
   }
+  // Journal the erase, or recovery brings the page's version back.
   std::lock_guard lk(state_mu_);
   for (GlobalAddress p = range.base.page_floor(psz); p < range.end();
        p = p.plus(psz)) {
-    journaled_pages_.erase(p);
+    if (journaled_pages_.erase(p) > 0) meta_.record_page_erase(p);
   }
 }
 

@@ -17,7 +17,6 @@ NodeConfig make_config(const SimWorldOptions& opts, NodeId id,
   cfg.ram_pages = opts.ram_pages;
   if (!opts.disk_root.empty()) {
     cfg.disk_dir = opts.disk_root / ("node" + std::to_string(id));
-    cfg.disk_pages = opts.disk_pages;
   }
   cfg.rpc_timeout = opts.rpc_timeout;
   cfg.max_retries = opts.max_retries;
@@ -334,22 +333,14 @@ std::string SimWorld::cluster_metrics_json() {
       reg.counter("net.bytes_sent").set(0);
     }
   }
-  obs::MetricsSnapshot cluster;
-  std::string nodes_json = "{";
-  bool first = true;
+  std::vector<obs::NodeSnapshot> snaps;
   for (const auto& n : nodes_) {
     if (!n) continue;
     auto rs = scrape(scraper, n->id(), 0);
     if (!rs.ok()) continue;
-    cluster.merge(rs.value().snapshot);
-    if (!first) nodes_json += ',';
-    first = false;
-    nodes_json += '"' + std::to_string(n->id()) +
-                  "\":" + rs.value().snapshot.to_json();
+    snaps.emplace_back(n->id(), std::move(rs.value().snapshot));
   }
-  nodes_json += '}';
-  return "{\"cluster\":" + cluster.to_json() + ",\"nodes\":" + nodes_json +
-         '}';
+  return '{' + obs::rollup_json_members(snaps) + '}';
 }
 
 }  // namespace khz::core

@@ -26,7 +26,6 @@ struct SimWorldOptions {
   std::size_t ram_pages = 4096;
   /// Non-empty: every node gets a DiskStore under <disk_root>/node<i>.
   std::filesystem::path disk_root;
-  std::size_t disk_pages = 0;
   Micros rpc_timeout = 200'000;
   int max_retries = 3;
   Micros ping_interval = 0;
@@ -50,9 +49,9 @@ struct SimWorldOptions {
   std::size_t flight_recorder_capacity = 32;
   Micros stats_sample_interval = 0;
   std::size_t stats_series_capacity = 64;
-  /// Location-fabric knobs, forwarded verbatim to every NodeConfig (see
-  /// docs/location.md). Defaults keep anti-entropy and free-space expiry
-  /// off — the pre-fabric resolver behaviour.
+  /// Location knobs, forwarded verbatim to every NodeConfig (see
+  /// docs/location.md). Defaults keep hint anti-entropy and free-space
+  /// expiry off.
   Micros hint_sync_interval = 0;
   Micros free_space_ttl = 0;
   /// Checkpoint-tick compaction budget (0 = unbounded).

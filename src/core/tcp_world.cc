@@ -140,9 +140,7 @@ std::string TcpWorld::cluster_metrics_json() {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     mirror_wire_counters(static_cast<NodeId>(i));
   }
-  obs::MetricsSnapshot cluster;
-  std::string nodes_json = "{";
-  bool first = true;
+  std::vector<obs::NodeSnapshot> snaps;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const auto id = static_cast<NodeId>(i);
     auto rs = scrape(/*via=*/0, id, 0);
@@ -152,14 +150,9 @@ std::string TcpWorld::cluster_metrics_json() {
     // which live in the endpoint's registry, not the node's, so the
     // per-node objects match metrics_json(id).
     snap.merge(transports_.at(id)->metrics().snapshot());
-    cluster.merge(snap);
-    if (!first) nodes_json += ',';
-    first = false;
-    nodes_json += '"' + std::to_string(id) + "\":" + snap.to_json();
+    snaps.emplace_back(id, std::move(snap));
   }
-  nodes_json += '}';
-  return "{\"cluster\":" + cluster.to_json() + ",\"nodes\":" + nodes_json +
-         '}';
+  return '{' + obs::rollup_json_members(snaps) + '}';
 }
 
 TcpWorld::~TcpWorld() {

@@ -104,6 +104,49 @@ std::uint64_t ClusterState::digest_of(const std::vector<Entry>& in) {
   return acc;
 }
 
+namespace {
+
+std::uint64_t sign(std::uint64_t digest, NodeId signer) {
+  std::uint64_t h = digest ^ 0x9e3779b97f4a7c15ull;
+  h ^= signer;
+  h *= 0x100000001b3ull;
+  h ^= h >> 29;
+  return h;
+}
+
+}  // namespace
+
+void ClusterState::encode_signed(Encoder& e, const std::vector<Entry>& in,
+                                 NodeId signer) {
+  e.u64(sign(digest_of(in), signer));
+  e.u32(static_cast<std::uint32_t>(in.size()));
+  for (const Entry& entry : in) {
+    e.addr(entry.base);
+    e.u64(entry.size);
+    e.u32(entry.node);
+    e.u64(static_cast<std::uint64_t>(entry.stamp));
+    e.boolean(entry.retracted);
+  }
+}
+
+std::optional<std::vector<ClusterState::Entry>> ClusterState::decode_signed(
+    Decoder& d, NodeId signer) {
+  const std::uint64_t sig = d.u64();
+  std::vector<Entry> out;
+  const std::uint32_t n = d.u32();
+  for (std::uint32_t i = 0; i < n && d.ok(); ++i) {
+    Entry e;
+    e.base = d.addr();
+    e.size = d.u64();
+    e.node = d.u32();
+    e.stamp = static_cast<Micros>(d.u64());
+    e.retracted = d.boolean();
+    out.push_back(e);
+  }
+  if (!d.ok() || sig != sign(digest_of(out), signer)) return std::nullopt;
+  return out;
+}
+
 std::size_t ClusterState::merge(const std::vector<Entry>& in,
                                 const std::function<bool(NodeId)>& is_down) {
   std::lock_guard lk(mu_);

@@ -11,8 +11,8 @@
 // a retraction is a tombstone, not an erase, so it can win a newest-wins
 // anti-entropy merge against a stale publish on a peer manager (the hint
 // caches self-heal under churn instead of diverging until overwritten).
-// It is pure bookkeeping — all message handling lives in core::Node, the
-// sync protocol in location::Fabric.
+// It is bookkeeping plus the signed wire form of a record set; the message
+// handling and the sync timer live in core::Node.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/global_address.h"
+#include "common/serialize.h"
 #include "common/types.h"
 
 namespace khz::location {
@@ -67,6 +68,18 @@ class ClusterState {
   /// digest() of an arbitrary record set — used to check that a decoded
   /// anti-entropy payload matches its signed digest.
   [[nodiscard]] static std::uint64_t digest_of(const std::vector<Entry>& in);
+
+  /// The anti-entropy wire form of `in` (kHintSyncReq/Resp): a u64
+  /// signature, digest_of(in) mixed with `signer`'s id, then u32 n and n
+  /// records of {addr base, u64 size, u32 node, u64 stamp, u8 retracted}.
+  /// A keyed MAC in spirit; the sim has no key distribution, so the id is
+  /// the key.
+  static void encode_signed(Encoder& e, const std::vector<Entry>& in,
+                            NodeId signer);
+  /// Reads what encode_signed wrote. nullopt when the payload is malformed
+  /// or its records do not hash to the signature `signer` would have made.
+  [[nodiscard]] static std::optional<std::vector<Entry>> decode_signed(
+      Decoder& d, NodeId signer);
 
   /// Newest-wins merge of a peer's records: a foreign record replaces the
   /// local one only when strictly newer. Records naming a node `is_down`

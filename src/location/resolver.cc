@@ -18,7 +18,18 @@ ErrorCode from_wire(std::uint8_t b) { return static_cast<ErrorCode>(b); }
 
 }  // namespace
 
-Resolver::Resolver(Host& host, obs::MetricsRegistry& metrics) : host_(host) {
+Resolver::Resolver(Host& host, RegionDirectory& regions,
+                   const ClusterState& hints, obs::MetricsRegistry& metrics)
+    : host_(host), regions_(regions), hints_(hints) {
+  ins_.resolves = &metrics.counter("location.resolves");
+  ins_.terminal = {
+      &metrics.counter("location.hits.home"),
+      &metrics.counter("location.hits.region_dir"),
+      &metrics.counter("location.hits.manager"),
+      &metrics.counter("location.hits.map_walk"),
+      &metrics.counter("location.hits.cluster_walk"),
+      &metrics.counter("location.failures"),
+  };
   ins_.region_dir_us = &metrics.histogram("resolve.region_dir_us");
   ins_.manager_hint_us = &metrics.histogram("resolve.manager_hint_us");
   ins_.map_walk_us = &metrics.histogram("resolve.map_walk_us");
@@ -38,25 +49,26 @@ obs::Histogram* Resolver::hist_for(HitClass cls) const {
 }
 
 void Resolver::resolve(const GlobalAddress& addr, DescCb cb) {
+  ins_.resolves->inc();
   const Micros t0 = host_.now();
   // Level 0: well-known bootstrap region.
   if (AddressRange{kMapRegionBase, kMapRegionSize}.contains(addr)) {
-    host_.note_resolved(HitClass::kHome, 0);
+    attribute(HitClass::kHome);
     cb(map_region_descriptor(host_.genesis()));
     return;
   }
   // Level 0b: regions homed here are authoritative.
   if (auto homed = host_.homed_descriptor(addr)) {
-    host_.note_resolved(HitClass::kHome, 0);
+    attribute(HitClass::kHome);
     cb(*homed);
     return;
   }
   // Level 1: region directory (possibly stale; used optimistically).
-  if (auto cached = host_.region_cache().lookup(addr)) {
+  if (auto cached = regions_.lookup(addr)) {
     // Effectively free, but recording it keeps the hit-class latency mix
     // comparable across the resolve.* histograms.
     ins_.region_dir_us->record(host_.now() - t0);
-    host_.note_resolved(HitClass::kRegionDir, host_.now() - t0);
+    attribute(HitClass::kRegionDir);
     cb(*cached);
     return;
   }
@@ -67,7 +79,7 @@ void Resolver::resolve_via_manager(const GlobalAddress& addr, Micros t0,
                                    DescCb cb) {
   // Level 2: the cluster manager's hint cache.
   if (host_.is_manager()) {
-    const auto nodes = host_.manager_hint(addr);
+    const auto nodes = hints_.hint(addr);
     if (!nodes.empty()) {
       fetch_descriptor(nodes, addr, t0, HitClass::kManager, std::move(cb));
     } else {
@@ -176,10 +188,9 @@ void Resolver::fetch_descriptor(std::vector<NodeId> candidates,
         }
         (void)d.u8();  // status byte; the accept predicate saw kOk
         RegionDescriptor desc = RegionDescriptor::decode(d);
-        host_.region_cache().insert(desc);
-        const Micros lat = host_.now() - t0;
-        if (auto* hist = hist_for(cls)) hist->record(lat);
-        host_.note_resolved(cls, lat);
+        regions_.insert(desc);
+        if (auto* hist = hist_for(cls)) hist->record(host_.now() - t0);
+        attribute(cls);
         cb(std::move(desc));
       },
       std::move(opts));
@@ -192,7 +203,7 @@ void Resolver::resolve_via_cluster_walk(const GlobalAddress& addr, Micros t0,
     if (n != host_.self()) targets.push_back(n);
   }
   if (targets.empty()) {
-    host_.note_resolved(HitClass::kFailed, host_.now() - t0);
+    attribute(HitClass::kFailed);
     cb(ErrorCode::kUnreachable);
     return;
   }
@@ -216,16 +227,15 @@ void Resolver::resolve_via_cluster_walk(const GlobalAddress& addr, Micros t0,
           if (ok && d.boolean()) {
             RegionDescriptor desc = RegionDescriptor::decode(d);
             st->done = true;
-            const Micros lat = host_.now() - t0;
-            host_.region_cache().insert(desc);
-            ins_.cluster_walk_us->record(lat);
-            host_.note_resolved(HitClass::kClusterWalk, lat);
+            regions_.insert(desc);
+            ins_.cluster_walk_us->record(host_.now() - t0);
+            attribute(HitClass::kClusterWalk);
             st->cb(std::move(desc));
             return;
           }
           if (--st->remaining == 0) {
             st->done = true;
-            host_.note_resolved(HitClass::kFailed, host_.now() - t0);
+            attribute(HitClass::kFailed);
             st->cb(ErrorCode::kUnreachable);
           }
         },

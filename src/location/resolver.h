@@ -1,18 +1,18 @@
-// Three-level location lookup (Section 3.2), extracted from Node.
+// Three-level location lookup (Section 3.2).
 //
 // "To locate the data associated with a particular global address, Khazana
 // uses a three-tiered lookup scheme": (0) regions homed locally and the
 // well-known map region, (1) the node's region-directory cache of recently
 // used descriptors, (2) the cluster manager's hint cache, (3) a walk of the
 // address-map tree — with a broadcast cluster walk as the stale-map
-// fallback. The Resolver owns levels 1-3 plus descriptor fetching; level 0
-// facts (what is homed here, where the genesis is), the descriptor cache
-// and the hint cache come from the Host interface — in practice the
-// location::Fabric facade — and all remote traffic goes through Host::call,
-// which the node backs with its RpcEngine (retries, candidate steering,
-// deadline budgets).
+// fallback. The Resolver owns levels 1-3 plus descriptor fetching and reads
+// the node's region directory and hint cache directly; level 0 facts (what
+// is homed here, where the genesis is) come from the Host interface — the
+// node — and all remote traffic goes through Host::call, which the node
+// backs with its RpcEngine (retries, candidate steering, deadline budgets).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -21,6 +21,7 @@
 #include "common/result.h"
 #include "common/serialize.h"
 #include "common/types.h"
+#include "location/cluster.h"
 #include "location/region.h"
 #include "location/region_directory.h"
 #include "net/message.h"
@@ -30,8 +31,8 @@ namespace khz::location {
 
 /// Which lookup level finally produced (or failed to produce) the
 /// descriptor. One terminal class is attributed per resolve, so the
-/// per-class counters sum exactly to the resolve count — the invariant the
-/// churn property test asserts.
+/// location.hits.* counters plus location.failures sum exactly to
+/// location.resolves — the invariant the churn property test asserts.
 enum class HitClass : std::uint8_t {
   kHome = 0,         // level 0: homed here or the well-known map region
   kRegionDir = 1,    // level 1: region-directory cache
@@ -43,9 +44,9 @@ enum class HitClass : std::uint8_t {
 
 class Resolver {
  public:
-  /// What the lookup path needs from its surroundings. Signatures
-  /// deliberately match the equivalent CmHost methods so the fabric's own
-  /// host (the node) implements every interface with single overrides.
+  /// What the lookup path needs from its node. Signatures deliberately
+  /// match the equivalent CmHost methods, so the node implements every
+  /// interface with single overrides.
   class Host {
    public:
     virtual ~Host() = default;
@@ -58,13 +59,6 @@ class Resolver {
     /// The authoritative descriptor if `addr` falls in a region homed on
     /// this node (lookup level 0).
     [[nodiscard]] virtual std::optional<RegionDescriptor> homed_descriptor(
-        const GlobalAddress& addr) = 0;
-    /// The node's descriptor cache (lookup level 1); fetched descriptors
-    /// are inserted here.
-    [[nodiscard]] virtual RegionDirectory& region_cache() = 0;
-    /// Manager-side hint-cache lookup (level 2, local fast path). Only
-    /// consulted when is_manager().
-    [[nodiscard]] virtual std::vector<NodeId> manager_hint(
         const GlobalAddress& addr) = 0;
     /// Reads one page of the address map (level 3); readers replicate map
     /// pages through the release protocol.
@@ -84,16 +78,15 @@ class Resolver {
     };
     virtual void call(std::vector<NodeId> candidates, net::MsgType type,
                       Bytes payload, CallHandler handler, CallSpec spec) = 0;
-
-    /// Terminal-attribution hook: invoked exactly once per resolve with the
-    /// class that produced the descriptor (or kFailed). The fabric turns
-    /// these into the location.* counters.
-    virtual void note_resolved(HitClass cls, Micros latency) = 0;
   };
 
   using DescCb = std::function<void(Result<RegionDescriptor>)>;
 
-  Resolver(Host& host, obs::MetricsRegistry& metrics);
+  /// `regions` is the node's descriptor cache (level 1; fetched
+  /// descriptors are inserted there) and `hints` its hint cache (level 2,
+  /// consulted locally only on a manager).
+  Resolver(Host& host, RegionDirectory& regions, const ClusterState& hints,
+           obs::MetricsRegistry& metrics);
 
   /// Resolves `addr` to its region descriptor, walking the lookup levels
   /// in order. The callback fires in node context, possibly synchronously
@@ -117,11 +110,21 @@ class Resolver {
   void fetch_descriptor(std::vector<NodeId> candidates,
                         const GlobalAddress& addr, Micros t0, HitClass cls,
                         DescCb cb);
+  /// Counts the resolve's terminal class (location.hits.* or
+  /// location.failures).
+  void attribute(HitClass cls) {
+    ins_.terminal[static_cast<std::size_t>(cls)]->inc();
+  }
   [[nodiscard]] obs::Histogram* hist_for(HitClass cls) const;
 
   Host& host_;
+  RegionDirectory& regions_;
+  const ClusterState& hints_;
 
   struct {
+    obs::Counter* resolves = nullptr;
+    /// Indexed by HitClass.
+    std::array<obs::Counter*, 6> terminal{};
     obs::Histogram* region_dir_us = nullptr;
     obs::Histogram* manager_hint_us = nullptr;
     obs::Histogram* map_walk_us = nullptr;

@@ -111,7 +111,7 @@ enum class MsgType : std::uint16_t {
   kStatsReq,
   kStatsResp,  // u8 status, u32 node, u64 now, u8 flags, sections per flag
 
-  // Manager hint anti-entropy (location fabric): periodic exchange of
+  // Manager hint anti-entropy (docs/location.md): periodic exchange of
   // signed hint-cache record sets, merged newest-wins on both ends.
   // Payload both ways: u64 signed digest, u32 n, n records of
   // {addr base, u64 size, u32 node, u64 stamp, u8 retracted}; the response

@@ -286,6 +286,23 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return it->second;
 }
 
+MetricsSnapshot rollup(const std::vector<NodeSnapshot>& nodes) {
+  MetricsSnapshot out;
+  for (const auto& [id, snap] : nodes) out.merge(snap);
+  return out;
+}
+
+std::string rollup_json_members(const std::vector<NodeSnapshot>& nodes) {
+  std::string out = "\"cluster\":" + rollup(nodes).to_json() + ",\"nodes\":{";
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (i > 0) out += ',';
+    out += '"' + std::to_string(nodes[i].first) +
+           "\":" + nodes[i].second.to_json();
+  }
+  out += '}';
+  return out;
+}
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard lk(mu_);
   MetricsSnapshot s;

@@ -18,6 +18,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/serialize.h"
@@ -136,6 +137,18 @@ struct MetricsSnapshot {
   void encode(Encoder& e) const;
   static MetricsSnapshot decode(Decoder& d);
 };
+
+/// One node's registry in a cluster rollup.
+using NodeSnapshot = std::pair<NodeId, MetricsSnapshot>;
+
+/// Every snapshot merged, in order (MetricsSnapshot::merge).
+[[nodiscard]] MetricsSnapshot rollup(const std::vector<NodeSnapshot>& nodes);
+
+/// The cluster rollup as two JSON members, without enclosing braces so a
+/// caller can add members of its own:
+/// "cluster":<rollup(nodes)>,"nodes":{"<id>":<snapshot>,...}.
+[[nodiscard]] std::string rollup_json_members(
+    const std::vector<NodeSnapshot>& nodes);
 
 /// One self-sampled interval of a node's registry: the delta of everything
 /// that moved between `at - interval` and `at` (gauges carry their level at

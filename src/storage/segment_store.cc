@@ -366,10 +366,15 @@ std::size_t SegmentStore::compact(std::size_t max_pages) {
     for (const auto& [addr, loc] : index_) {
       if (loc.seg == id) live.emplace_back(addr, loc);
     }
-    // Work cap: only take a segment when its whole live set fits in the
-    // remaining budget — a half-rewritten segment could not be unlinked,
-    // so partial work would be wasted. Fully dead segments cost nothing.
-    if (max_pages > 0 && rewritten + live.size() > max_pages) continue;
+    // Work cap: after the pass's first segment, only take a segment whose
+    // whole live set fits in the remaining budget — a half-rewritten
+    // segment could not be unlinked, so partial work would be wasted. The
+    // first is always taken, so a cold segment larger than the budget is
+    // still reclaimed. Fully dead segments cost nothing.
+    if (max_pages > 0 && !completed.empty() &&
+        rewritten + live.size() > max_pages) {
+      continue;
+    }
     for (const auto& [addr, loc] : live) {
       const int fd = reader_locked(id);
       if (fd < 0) continue;

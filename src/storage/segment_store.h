@@ -112,11 +112,12 @@ class SegmentStore {
   /// Checkpoint/compaction: rewrites the live records of cold segments
   /// (less than half their payload still live, plus fully-dead ones) into
   /// the head segment, commits the copies, then unlinks the sources.
-  /// `max_pages` > 0 bounds the rewrite work of one pass: a cold segment
-  /// is only processed when its whole live set fits in the remaining
-  /// budget (partially rewritten segments cannot be unlinked), so a
-  /// backlog drains across ticks instead of stalling one checkpoint.
-  /// Returns pages rewritten.
+  /// `max_pages` > 0 bounds the rewrite work of one pass: the pass always
+  /// takes its first cold segment, whatever its live set, and after that
+  /// only segments whose whole live set fits in the remaining budget
+  /// (partially rewritten segments cannot be unlinked). A backlog drains
+  /// across ticks instead of stalling one checkpoint, and a cold segment
+  /// larger than the budget is still reclaimed. Returns pages rewritten.
   std::size_t compact(std::size_t max_pages = 0);
 
   [[nodiscard]] SegmentStats stats() const;

@@ -1,9 +1,9 @@
-// Property-style churn test for the location fabric (docs/location.md).
+// Property-style churn test for location lookup (docs/location.md).
 //
 // 64 simulated nodes run a randomized storm of crashes, restarts, and a
 // transient partition (all drawn from a seeded Rng, so the run is
 // deterministic), with hint anti-entropy on. Afterwards the suite asserts
-// the fabric's core properties:
+// the location plane's core properties:
 //
 //   1. Every resolve eventually succeeds — the address map at genesis is
 //      authoritative, so churn may slow a lookup down a level but never
@@ -35,7 +35,7 @@ constexpr std::size_t kRegionCount = 16;
 Result<RegionDescriptor> resolve_on(SimWorld& world, NodeId reader,
                                     const GlobalAddress& addr) {
   std::optional<Result<RegionDescriptor>> out;
-  world.node(reader).fabric().resolve(
+  world.node(reader).resolver().resolve(
       addr, [&](Result<RegionDescriptor> r) { out = std::move(r); });
   if (!world.pump_until([&] { return out.has_value(); })) {
     return ErrorCode::kTimeout;
@@ -165,7 +165,7 @@ TEST(ChurnTest, ResolutionSurvivesRandomChurn) {
   std::uint64_t retractions = 0;
   for (NodeId m = 0; m < kManagers; ++m) {
     if (!world.node_alive(m)) continue;
-    for (const auto& e : world.node(m).fabric().cluster().entries()) {
+    for (const auto& e : world.node(m).cluster_state().entries()) {
       if (e.retracted) continue;
       EXPECT_NE(e.node, dead_a) << "manager " << m;
       EXPECT_NE(e.node, dead_b) << "manager " << m;

@@ -64,6 +64,39 @@ TEST(MultiManagerTest, HintQueryFallsOverToBackupManager) {
       world.node(3).metrics().counter("location.hits.manager").value(), 1u);
 }
 
+TEST(MultiManagerTest, HintSyncMergesOnlySetsSignedBySender) {
+  SimWorldOptions opts;
+  opts.nodes = 3;
+  opts.managers = 2;
+  SimWorld world(opts);
+  // Node 2 offers manager 0 a hint set, signed first as node 1 (a forgery:
+  // the request comes from node 2), then as itself.
+  const ClusterState::Entry record{
+      .base = {0, 1ull << 40}, .size = 4096, .node = 2, .stamp = 1};
+  const auto offer = [&](NodeId signer) {
+    Encoder e;
+    ClusterState::encode_signed(e, {record}, signer);
+    std::optional<std::uint8_t> status;
+    world.node(2).app_rpc(0, net::MsgType::kHintSyncReq, std::move(e).take(),
+                          [&](bool ok, Decoder& d) {
+                            if (ok) status = d.u8();
+                          });
+    EXPECT_TRUE(world.pump_until([&] { return status.has_value(); }));
+    return status.value_or(0xff);
+  };
+  auto& rejected =
+      world.node(0).metrics().counter("location.hint_sync.rejected");
+
+  EXPECT_EQ(offer(1), 1);  // rejected
+  EXPECT_EQ(rejected.value(), 1u);
+  EXPECT_TRUE(world.node(0).cluster_state().hint(record.base).empty());
+
+  EXPECT_EQ(offer(2), 0);  // accepted and merged
+  EXPECT_EQ(rejected.value(), 1u);
+  EXPECT_EQ(world.node(0).cluster_state().hint(record.base),
+            std::vector<NodeId>{2});
+}
+
 TEST(MultiManagerTest, SingleManagerConfigStillWorks) {
   SimWorld world({.nodes = 3, .managers = 1});
   auto base = world.create_region(1, 4096);

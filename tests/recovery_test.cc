@@ -4,6 +4,7 @@
 // after the home dies.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -394,6 +395,51 @@ TEST(RecoveryTest, CheckpointCutShortKeepsEveryRegionAndPageVersion) {
     EXPECT_EQ(got.regions.at(base).range, desc.range);
   }
   EXPECT_EQ(got.page_versions, want.page_versions);
+}
+
+TEST(RecoveryTest, IdleCheckpointTickKeepsTheSnapshot) {
+  // A tick with nothing journaled leaves node_state.meta alone; the next
+  // tick after a write publishes a fresh one (write + rename: new inode).
+  TempDir tmp;
+  SimWorld world({.nodes = 2,
+                  .disk_root = tmp.path(),
+                  .checkpoint_interval = 100'000});
+  auto base = world.create_region(1, 4096);
+  ASSERT_TRUE(base.ok());
+  world.pump_for(100'000);  // one tick snapshots the reservation
+  const fs::path meta = tmp.path() / "node1" / "node_state.meta";
+  const auto inode = [&] {
+    struct stat st {};
+    return ::stat(meta.c_str(), &st) == 0 ? st.st_ino : ino_t{0};
+  };
+  const ino_t before = inode();
+  ASSERT_NE(before, ino_t{0});
+  // Checked every tick: the filesystem may hand a freed inode number out
+  // again, so two rewrites could land back on `before`.
+  for (int tick = 0; tick < 20; ++tick) {
+    world.pump_for(100'000);
+    ASSERT_EQ(inode(), before) << "idle tick " << tick;
+  }
+  ASSERT_TRUE(world.put(1, {base.value(), 4096}, fill(4096, 7)).ok());
+  world.pump_for(100'000);
+  EXPECT_NE(inode(), before);
+}
+
+TEST(RecoveryTest, DeallocatedPageStaysFreeAcrossRestart) {
+  TempDir tmp;
+  SimWorld world({.nodes = 2, .disk_root = tmp.path()});
+  auto base = world.create_region(1, 2 * 4096);
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(world.put(1, {base.value(), 2 * 4096}, fill(2 * 4096, 7)).ok());
+  const GlobalAddress freed = base.value().plus(4096);
+  ASSERT_TRUE(world.deallocate(1, {freed, 4096}).ok());
+  world.pump_for(100'000);
+  ASSERT_EQ(world.node(1).page_directory().find(freed), nullptr);
+  world.restart_node(1);
+  EXPECT_EQ(world.node(1).page_directory().find(freed), nullptr);
+  auto kept = world.get(0, {base.value(), 4096});
+  ASSERT_TRUE(kept.ok()) << to_string(kept.error());
+  EXPECT_EQ(kept.value(), fill(4096, 7));
 }
 
 TEST(RecoveryTest, CheckpointTimerCompactsSegmentsAndRestartServesPages) {

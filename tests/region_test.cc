@@ -250,6 +250,46 @@ TEST(ClusterState, MergeNeverResurrectsDetectedFailure) {
   EXPECT_TRUE(local.hint({0, 0}).empty());
 }
 
+TEST(ClusterState, SignedHintSetRoundTripsAndRejectsTampering) {
+  ClusterState a;
+  a.publish({0, 0}, 100, 1, /*now=*/10);
+  a.publish({0, 400}, 200, 2, /*now=*/20);
+  a.retract({0, 400}, 2, /*now=*/30);
+  Encoder e;
+  ClusterState::encode_signed(e, a.entries(), /*signer=*/7);
+  const Bytes wire = std::move(e).take();
+
+  // What a peer manager does with a kHintSyncReq payload: merge the set
+  // only when it verifies against the node it came from.
+  const auto receive = [](const Bytes& payload, NodeId from) {
+    ClusterState peer;
+    Decoder d(payload);
+    const auto in = ClusterState::decode_signed(d, from);
+    if (in) peer.merge(*in);
+    return std::pair{in.has_value(), peer.entries()};
+  };
+
+  const auto [accepted, merged] = receive(wire, 7);
+  EXPECT_TRUE(accepted);
+  EXPECT_EQ(merged, a.entries());
+
+  // Signed by a node other than the sender.
+  EXPECT_EQ(receive(wire, 8),
+            std::pair(false, std::vector<ClusterState::Entry>{}));
+
+  // One record altered in flight: the first record's size field (after
+  // the u64 signature, the u32 count and the record's 16-byte base).
+  Bytes flipped = wire;
+  flipped[8 + 4 + 16] ^= 0x01;
+  EXPECT_EQ(receive(flipped, 7),
+            std::pair(false, std::vector<ClusterState::Entry>{}));
+
+  // Cut short: the last record's retracted flag is missing.
+  const Bytes cut(wire.begin(), wire.end() - 1);
+  EXPECT_EQ(receive(cut, 7),
+            std::pair(false, std::vector<ClusterState::Entry>{}));
+}
+
 TEST(ClusterState, DigestIsOrderIndependentAndStampSensitive) {
   ClusterState a;
   ClusterState b;

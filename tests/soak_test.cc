@@ -195,11 +195,24 @@ TEST(SoakTest, TcpReconnectChurnLeaksNoThreadsOrTimers) {
     }
     return -1;
   };
+  // pthread_join returns once the kernel clears the joined thread's tid,
+  // but /proc/self/status counts the thread until the kernel releases it,
+  // a moment later. So a count read after a join polls, for at most 1 s,
+  // until it shows the value expected.
+  const auto settled_thread_count = [&](int expected) {
+    int n = thread_count();
+    for (int i = 0; i < 1000 && n != expected; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      n = thread_count();
+    }
+    return n;
+  };
 
   net::TcpBus bus(30410);
   auto& a = bus.add_node(0);
   a.set_handler([](net::Message) {});
   std::atomic<int> got{0};
+  const int without_peer = thread_count();
 
   int baseline = -1;
   for (int cycle = 0; cycle < 8; ++cycle) {
@@ -218,9 +231,12 @@ TEST(SoakTest, TcpReconnectChurnLeaksNoThreadsOrTimers) {
     }
     ASSERT_GE(got.load(), want) << "cycle " << cycle;
     bus.remove_node(1);  // joins the peer's threads deterministically
-    if (cycle == 0) baseline = thread_count();
+    // The first cycle's peer threads gone, the count should be back to
+    // what it was before the peer existed (or settle where it stays).
+    if (cycle == 0) baseline = settled_thread_count(without_peer);
   }
-  EXPECT_EQ(thread_count(), baseline) << "reconnect churn grew threads";
+  EXPECT_EQ(settled_thread_count(baseline), baseline)
+      << "reconnect churn grew threads";
 
   // A long-running ping loop schedules and cancels constantly; the timer
   // heap must not accumulate the cancelled entries.

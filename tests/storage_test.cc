@@ -293,6 +293,31 @@ TEST(SegmentStore, CompactionRewritesColdSegments) {
   }
 }
 
+TEST(SegmentStore, BudgetedCompactionReclaimsAColdSegmentLargerThanTheBudget) {
+  TempDir tmp;
+  SegmentConfig cfg;
+  cfg.segment_bytes = 64 << 10;  // 16 page records, then the head rotates
+  SegmentStore s(tmp.path(), cfg);
+  const auto at = [](int i) {
+    return GlobalAddress{0, static_cast<std::uint64_t>(i) * 4096};
+  };
+  for (int i = 0; i < 16; ++i) ASSERT_TRUE(s.put(at(i), page(1)).ok());
+  // Overwriting 9 of the 16 pages rotates to a new head and leaves the
+  // first segment cold with 7 live pages.
+  for (int i = 7; i < 16; ++i) ASSERT_TRUE(s.put(at(i), page(2)).ok());
+  ASSERT_EQ(s.stats().segments, 2u);
+  ASSERT_EQ(s.stats().dead_bytes, 9u * 4096);
+  // A budget of 4 is smaller than the segment's live set, but the pass
+  // still takes its first cold segment whole.
+  EXPECT_EQ(s.compact(4), 7u);
+  EXPECT_EQ(s.stats().segments, 1u);
+  EXPECT_EQ(s.stats().dead_bytes, 0u);
+  SegmentStore reopened(tmp.path(), cfg);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ((*reopened.get(at(i)))[0], i < 7 ? 1 : 2) << i;
+  }
+}
+
 TEST(SegmentStore, ScanIsSortedAndLiveOnly) {
   TempDir tmp;
   SegmentStore s(tmp.path());

@@ -184,17 +184,11 @@ void print_table(const Options& opts, const Scraped& nodes,
 }
 
 void print_json(const Options& opts, const Scraped& nodes,
-                const khz::obs::MetricsSnapshot& cluster) {
+                const std::vector<khz::obs::NodeSnapshot>& snaps) {
   std::string out = "{\"port\":" + std::to_string(opts.port) +
-                    ",\"scraped\":" + std::to_string(nodes.size()) +
-                    ",\"cluster\":" + cluster.to_json() + ",\"nodes\":{";
+                    ",\"scraped\":" + std::to_string(nodes.size()) + ',' +
+                    khz::obs::rollup_json_members(snaps);
   bool first = true;
-  for (const auto& [id, rs] : nodes) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + std::to_string(id) + "\":" + rs.snapshot.to_json();
-  }
-  out += '}';
   if (opts.dossiers) {
     out += ",\"dossiers\":{";
     first = true;
@@ -313,7 +307,7 @@ int main(int argc, char** argv) {
 
   Scraper scraper(opts.port, opts.scraper_id);
   Scraped nodes;
-  khz::obs::MetricsSnapshot cluster;
+  std::vector<khz::obs::NodeSnapshot> snaps;
   for (std::size_t i = 0; i < opts.nodes; ++i) {
     const auto id = static_cast<NodeId>(i);
     auto rs = scraper.scrape(id, flags, opts.timeout_us);
@@ -321,7 +315,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "khz_stats: node %u did not answer\n", id);
       continue;
     }
-    cluster.merge(rs->snapshot);
+    snaps.emplace_back(id, rs->snapshot);
     nodes.emplace_back(id, std::move(*rs));
   }
   if (nodes.empty()) {
@@ -331,9 +325,9 @@ int main(int argc, char** argv) {
   }
 
   if (opts.json) {
-    print_json(opts, nodes, cluster);
+    print_json(opts, nodes, snaps);
   } else {
-    print_table(opts, nodes, cluster);
+    print_table(opts, nodes, khz::obs::rollup(snaps));
   }
   return 0;
 }
