@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 # Hard ceiling for any single source file or header under src/core/.
-MAX_CORE_FILE_LINES = 750
+MAX_CORE_FILE_LINES = 740
 
 # layer -> layers it may include (itself is always allowed).
 ALLOWED = {

@@ -155,10 +155,7 @@ void Node::start() {
     // the persistent store.
     map_store_ = std::make_unique<LocalMapStore>(*this);
     map_ = std::make_unique<AddressMap>(*map_store_);
-    {
-      std::lock_guard lk(state_mu_);
-      homed_regions_[kMapRegionBase] = map_region_descriptor(config_.genesis);
-    }
+    homed_regions_[kMapRegionBase] = map_region_descriptor(config_.genesis);
     if (!map_->formatted()) {
       AddressMap::format(*map_store_);
       (void)map_->insert({kMapRegionBase, kMapRegionSize},
@@ -171,7 +168,6 @@ void Node::start() {
         [this](bool ok, Decoder& d) {
           if (!ok) return;
           const std::uint32_t n = d.u32();
-          std::lock_guard lk(state_mu_);
           for (std::uint32_t i = 0; i < n && d.ok(); ++i) {
             members_.insert(d.u32());
           }
@@ -287,7 +283,6 @@ std::uint32_t Node::min_replicas_of(const GlobalAddress& page) {
 }
 
 std::vector<NodeId> Node::membership() {
-  std::lock_guard lk(state_mu_);
   std::vector<NodeId> out;
   for (NodeId n : members_) {
     if (!down_nodes_.contains(n)) out.push_back(n);
@@ -296,7 +291,6 @@ std::vector<NodeId> Node::membership() {
 }
 
 bool Node::write_gated(const GlobalAddress& page) {
-  std::lock_guard lk(state_mu_);
   if (recovering_regions_.empty()) return false;
   auto it = homed_regions_.upper_bound(page);
   if (it == homed_regions_.begin()) return false;
@@ -481,12 +475,9 @@ void Node::handle_request(const Message& msg) {
     case MsgType::kReplicateToReq: return on_replicate_to_req(msg);
     case MsgType::kMigrateData: return on_migrate_data(msg);
     case MsgType::kLeave: {
-      {
-        std::lock_guard lk(state_mu_);
-        members_.erase(msg.src);
-        down_nodes_.erase(msg.src);
-        missed_pongs_.erase(msg.src);
-      }
+      members_.erase(msg.src);
+      down_nodes_.erase(msg.src);
+      missed_pongs_.erase(msg.src);
       // The CMs clean up protocol state for the departed peer.
       for (auto& [_, cm] : cms_) cm->on_node_down(msg.src);
       return;
@@ -494,7 +485,6 @@ void Node::handle_request(const Message& msg) {
     case MsgType::kNodeListGossip: {
       Decoder d(msg.payload);
       const std::uint32_t n = d.u32();
-      std::lock_guard lk(state_mu_);
       for (std::uint32_t i = 0; i < n && d.ok(); ++i) members_.insert(d.u32());
       return;
     }

@@ -15,10 +15,10 @@
 //
 // Execution model (docs/architecture.md, threading model): every message,
 // timer and client entry point runs in the transport's one execution
-// context, so region, consistency-manager and page-directory state needs
-// no locks. The metadata plane (homed descriptors, pool, membership, meta
-// journal) is guarded by one coarse mutex. The SimWorld / TcpWorld wrappers
-// provide blocking convenience APIs on top.
+// context, and so does every read of the node's state, so none of it takes
+// a lock. Other threads reach a node through the transport's post or
+// run_on_executor. The SimWorld / TcpWorld wrappers provide blocking
+// convenience APIs on top.
 #pragma once
 
 #include <algorithm>
@@ -27,7 +27,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -330,12 +329,7 @@ class Node final : public consistency::CmHost,
   /// LRU cache of recently used region descriptors (location level 1).
   [[nodiscard]] RegionDirectory& region_directory() { return regions_; }
   /// Current cluster membership as this node believes it (includes self).
-  /// By value: membership mutates on the executor while other threads may
-  /// ask.
-  [[nodiscard]] std::set<NodeId> members() const {
-    std::lock_guard lk(state_mu_);
-    return members_;
-  }
+  [[nodiscard]] const std::set<NodeId>& members() const { return members_; }
   /// All cluster managers, primary first.
   [[nodiscard]] const std::vector<NodeId>& managers() const override {
     return config_.cluster_managers;
@@ -405,7 +399,6 @@ class Node final : public consistency::CmHost,
   /// Failure-detector verdict, shared by the RPC engine (down-node
   /// short-circuit) and the consistency protocols (request steering).
   [[nodiscard]] bool is_down(NodeId node) override {
-    std::lock_guard lk(state_mu_);
     return down_nodes_.contains(node);
   }
   /// Protocol retries share the engine's capped jittered backoff policy.
@@ -598,19 +591,10 @@ class Node final : public consistency::CmHost,
   /// Deterministic RNG, seeded from (seed, id).
   Rng rng_;
 
-  /// Null = diskless. Shared with the hierarchy; the store synchronizes
-  /// internally.
+  /// Null = diskless. Shared with the hierarchy.
   std::shared_ptr<storage::DiskStore> disk_;
   storage::StorageHierarchy storage_;
   storage::PageDirectory pages_;
-
-  /// Coarse metadata-plane lock: guards homed_regions_, pool_,
-  /// granted_bytes_, members_, down_nodes_, missed_pongs_,
-  /// recovering_regions_, journaled_pages_ and every meta_ record/
-  /// checkpoint call. Recursive because checkpoint() pulls
-  /// snapshot_state() re-entrantly from under a record_* call. The data
-  /// plane (page contents, CM state, page directory) never takes it.
-  mutable std::recursive_mutex state_mu_;
 
   /// Regions homed on this node: authoritative descriptors.
   std::map<GlobalAddress, RegionDescriptor> homed_regions_;
@@ -620,9 +604,8 @@ class Node final : public consistency::CmHost,
   /// slab of the global space (manager k owns a disjoint slab, so
   /// concurrent managers never hand out overlapping chunks).
   std::uint64_t granted_bytes_ = 0;
-  /// Mirror of every locally-journaled page version, maintained beside the
-  /// page directory so snapshot_state() (metadata plane, any thread) never
-  /// walks executor-owned state.
+  /// Every locally journaled page version: what snapshot_state() saves and
+  /// what release_region_pages() journals an erase for.
   std::map<GlobalAddress, Version> journaled_pages_;
 
   std::unique_ptr<LocalMapStore> map_store_;
@@ -678,7 +661,7 @@ class Node final : public consistency::CmHost,
   /// metrics_ (their instruments bind at construction).
   RpcEngine engine_;
   /// Bound to the hierarchy (all journal I/O funnels through the shared
-  /// DiskStore); every record_*/checkpoint call holds state_mu_.
+  /// DiskStore).
   MetaLog meta_;
   AdmissionController admission_;
   /// Failure-detector loop timer; cancelled by stop().

@@ -18,31 +18,17 @@ using storage::PageState;
 // ---------------------------------------------------------------------------
 
 void Node::ping_tick() {
-  std::vector<NodeId> peers;
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    for (NodeId n : members_) {
-      if (n != config_.id) peers.push_back(n);
-    }
-  }
-  for (NodeId n : peers) {
+  for (NodeId n : members_) {
+    if (n == config_.id) continue;
     rpc(n, MsgType::kPing, {}, [this, n](bool ok, Decoder&) {
       if (ok) {
-        bool was_down = false;
-        {
-          std::lock_guard<std::recursive_mutex> g(state_mu_);
-          missed_pongs_[n] = 0;
-          was_down = down_nodes_.contains(n);
-        }
-        if (was_down) mark_node_up(n);
+        missed_pongs_[n] = 0;
+        if (down_nodes_.contains(n)) mark_node_up(n);
         return;
       }
-      bool newly_down = false;
-      {
-        std::lock_guard<std::recursive_mutex> g(state_mu_);
-        newly_down = ++missed_pongs_[n] >= 3 && !down_nodes_.contains(n);
+      if (++missed_pongs_[n] >= 3 && !down_nodes_.contains(n)) {
+        mark_node_down(n);
       }
-      if (newly_down) mark_node_down(n);
     });
   }
   ping_timer_ =
@@ -51,10 +37,7 @@ void Node::ping_tick() {
 
 void Node::mark_node_down(NodeId node) {
   KHZ_INFO("node %u: peer %u presumed down", config_.id, node);
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    down_nodes_.insert(node);
-  }
+  down_nodes_.insert(node);
   // Detector verdict reaches the location plane first: tombstone the dead
   // node out of the hint cache so no lookup is steered at it, and so the
   // retraction propagates to the other managers on the next sync round.
@@ -69,11 +52,8 @@ void Node::mark_node_down(NodeId node) {
 }
 
 void Node::mark_node_up(NodeId node) {
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    down_nodes_.erase(node);
-    missed_pongs_[node] = 0;
-  }
+  down_nodes_.erase(node);
+  missed_pongs_[node] = 0;
   // Reliable sends to this peer paused while it was down; resume them.
   engine_.on_node_up(node);
 }
@@ -151,11 +131,6 @@ void Node::maybe_promote_regions(NodeId dead) {
   // ("highest surviving node id in home_nodes") is deterministic, and every
   // surviving node applies it to the same list — so they all converge on
   // the same heir, and only the heir promotes itself.
-  std::set<NodeId> down;
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    down = down_nodes_;
-  }
   for (RegionDescriptor desc : regions_.snapshot()) {
     if (desc.primary_home() != dead) continue;
     if (AddressRange{kMapRegionBase, kMapRegionSize}.contains(
@@ -164,7 +139,7 @@ void Node::maybe_promote_regions(NodeId dead) {
     }
     NodeId heir = kNoNode;
     for (NodeId n : desc.home_nodes) {
-      if (n == dead || down.contains(n)) continue;
+      if (n == dead || down_nodes_.contains(n)) continue;
       if (heir == kNoNode || n > heir) heir = n;
     }
     if (heir == kNoNode) continue;  // no surviving copy-set member
@@ -185,15 +160,10 @@ void Node::maybe_promote_regions(NodeId dead) {
 }
 
 void Node::promote_region(RegionDescriptor desc, NodeId dead) {
-  std::set<NodeId> down;
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    if (homed_regions_.contains(desc.range.base)) return;  // already home
-    desc.allocated = true;  // replicas only exist for allocated pages
-    homed_regions_[desc.range.base] = desc;
-    meta_.record_region(desc);
-    down = down_nodes_;
-  }
+  if (homed_regions_.contains(desc.range.base)) return;  // already home
+  desc.allocated = true;  // replicas only exist for allocated pages
+  homed_regions_[desc.range.base] = desc;
+  meta_.record_region(desc);
   KHZ_INFO("node %u: promoting to home of region %016llx_%016llx (home %u "
            "presumed dead)",
            config_.id, static_cast<unsigned long long>(desc.range.base.hi),
@@ -227,7 +197,7 @@ void Node::promote_region(RegionDescriptor desc, NodeId dead) {
       if (info.owner == dead) info.owner = kNoNode;
       NodeId live_holder = kNoNode;
       for (NodeId s : info.sharers) {
-        if (s != config_.id && !down.contains(s)) live_holder = s;
+        if (s != config_.id && !down_nodes_.contains(s)) live_holder = s;
       }
       if (info.owner == kNoNode && live_holder != kNoNode) {
         info.owner = live_holder;  // protocol fetches from there on demand
@@ -261,10 +231,7 @@ void Node::promote_region(RegionDescriptor desc, NodeId dead) {
   // Honor min_replicas before accepting new writes: gate write grants
   // (write_gated) and kick replica maintenance to rebuild the copyset.
   if (desc.attrs.min_replicas > 1) {
-    {
-      std::lock_guard<std::recursive_mutex> g(state_mu_);
-      recovering_regions_.insert(desc.range.base);
-    }
+    recovering_regions_.insert(desc.range.base);
     for (GlobalAddress p = desc.range.base; p < desc.range.end();
          p = p.plus(psz)) {
       note_copyset_change(p);

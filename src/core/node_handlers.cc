@@ -31,22 +31,17 @@ Bytes status_payload(ErrorCode e) {
 // ---------------------------------------------------------------------------
 
 void Node::on_join_req(const Message& m) {
-  std::set<NodeId> snapshot;
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    members_.insert(m.src);
-    snapshot = members_;
-  }
+  members_.insert(m.src);
   Encoder e;
-  e.u32(static_cast<std::uint32_t>(snapshot.size()));
-  for (NodeId n : snapshot) e.u32(n);
+  e.u32(static_cast<std::uint32_t>(members_.size()));
+  for (NodeId n : members_) e.u32(n);
   respond(m, MsgType::kJoinResp, std::move(e).take());
   // Gossip the updated membership so existing nodes learn of the joiner.
-  for (NodeId n : snapshot) {
+  for (NodeId n : members_) {
     if (n == config_.id || n == m.src) continue;
     Encoder g;
-    g.u32(static_cast<std::uint32_t>(snapshot.size()));
-    for (NodeId x : snapshot) g.u32(x);
+    g.u32(static_cast<std::uint32_t>(members_.size()));
+    for (NodeId x : members_) g.u32(x);
     Message gm;
     gm.type = MsgType::kNodeListGossip;
     gm.dst = n;
@@ -76,25 +71,18 @@ void Node::on_reserve_req(const Message& m) {
 void Node::on_unreserve_req(const Message& m) {
   Decoder d(m.payload);
   const GlobalAddress base = d.addr();
-  RegionDescriptor desc;
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    auto it = homed_regions_.find(base);
-    if (it == homed_regions_.end()) {
-      // Not (or no longer) homed here; ack so the sender stops retrying.
-      respond(m, MsgType::kUnreserveResp, status_payload(ErrorCode::kOk));
-      return;
-    }
-    desc = it->second;
+  auto it = homed_regions_.find(base);
+  if (it == homed_regions_.end()) {
+    // Not (or no longer) homed here; ack so the sender stops retrying.
+    respond(m, MsgType::kUnreserveResp, status_payload(ErrorCode::kOk));
+    return;
   }
+  const RegionDescriptor desc = it->second;
   release_region_pages(desc, desc.range);
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    homed_regions_.erase(base);
-    pool_.push_back(desc.range);
-    meta_.record_region_erase(base);
-    meta_.record_pool(granted_bytes_, pool_);
-  }
+  homed_regions_.erase(base);
+  pool_.push_back(desc.range);
+  meta_.record_region_erase(base);
+  meta_.record_pool(granted_bytes_, pool_);
   regions_.invalidate(base);
   Encoder map_req;
   map_req.u8(2);  // erase
@@ -139,13 +127,10 @@ void Node::on_space_req(const Message& m) {
       std::find(ms.begin(), ms.end(), config_.id) - ms.begin());
   const std::uint64_t granted =
       std::max<std::uint64_t>(want, kPoolChunkSize);
-  GlobalAddress base;
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    base = kFirstClientAddress.plus(my_index * kManagerSlab + granted_bytes_);
-    granted_bytes_ += granted;
-    meta_.record_pool(granted_bytes_, pool_);
-  }
+  const GlobalAddress base =
+      kFirstClientAddress.plus(my_index * kManagerSlab + granted_bytes_);
+  granted_bytes_ += granted;
+  meta_.record_pool(granted_bytes_, pool_);
   cluster_.report_free_space(m.src, granted, now());
   Encoder e;
   e.u8(kStatusOk);
@@ -270,7 +255,6 @@ void Node::on_locate_req(const Message& m) {
 void Node::on_alloc_req(const Message& m) {
   Decoder d(m.payload);
   const AddressRange range = d.range();
-  std::lock_guard<std::recursive_mutex> g(state_mu_);
   auto it = homed_regions_.upper_bound(range.base);
   if (it == homed_regions_.begin() ||
       !std::prev(it)->second.range.contains_range(range)) {
@@ -300,10 +284,8 @@ void Node::on_free_req(const Message& m) {
 // ---------------------------------------------------------------------------
 
 void Node::on_attr_req(const Message& m, bool set) {
-  // Attribute state is metadata-plane only; serve under the state lock.
   Decoder d(m.payload);
   const GlobalAddress addr = d.addr();
-  std::lock_guard<std::recursive_mutex> g(state_mu_);
   auto it = homed_regions_.upper_bound(addr);
   if (it == homed_regions_.begin() ||
       !std::prev(it)->second.range.contains(addr)) {
@@ -405,9 +387,7 @@ void Node::maintain_replicas(const GlobalAddress& page) {
   auto* info = pages_.find(page);
   if (info == nullptr) return;
 
-  // Home side: top the copyset up to min_replicas. The descriptor
-  // mutation below needs the state lock.
-  std::unique_lock<std::recursive_mutex> held(state_mu_);
+  // Home side: top the copyset up to min_replicas.
   auto it = homed_regions_.upper_bound(page);
   if (it != homed_regions_.begin() &&
       std::prev(it)->second.range.contains(page)) {
@@ -474,7 +454,6 @@ void Node::maintain_replicas(const GlobalAddress& page) {
     }
     return;
   }
-  held.unlock();
 
   // Owner side: after a dirty release on a region with a replication
   // requirement, ship the data back to the home and demote to a shared

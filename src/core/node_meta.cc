@@ -22,7 +22,6 @@ using storage::PageState;
 
 std::optional<RegionDescriptor> Node::homed_descriptor(
     const GlobalAddress& addr) {
-  std::lock_guard lk(state_mu_);
   auto it = homed_regions_.upper_bound(addr);
   if (it != homed_regions_.begin()) {
     const auto& [base, desc] = *std::prev(it);
@@ -54,10 +53,9 @@ void Node::fetch_map_page(std::uint32_t index,
 }
 
 MetaLog::Snapshot Node::snapshot_state() {
-  // Called from under a record_*/checkpoint (state_mu_ already held —
-  // recursive). Page versions come from the journaled mirror, never from
-  // the executor-owned page directory.
-  std::lock_guard lk(state_mu_);
+  // MetaLog calls this from inside a record_* or checkpoint(). Page
+  // versions come from journaled_pages_, the set the journal names, not
+  // from the page directory.
   MetaLog::Snapshot snap;
   snap.granted_bytes = granted_bytes_;
   snap.pool = pool_;
@@ -69,11 +67,8 @@ MetaLog::Snapshot Node::snapshot_state() {
 void Node::journal_page(const GlobalAddress& page) {
   const auto* info = pages_.find(page);
   const Version v = info != nullptr ? info->version : 0;
-  {
-    std::lock_guard lk(state_mu_);
-    journaled_pages_[page] = v;
-    meta_.record_page(page, v);
-  }
+  journaled_pages_[page] = v;
+  meta_.record_page(page, v);
   // Group-commit policy point: every durable page write funnels through
   // here (store_page, unlock write-back, fail-over promotion), so this one
   // call covers the whole write-through path. Inline per-write fdatasync
@@ -124,14 +119,10 @@ void Node::commit_tick() {
 }
 
 void Node::checkpoint_tick() {
-  {
-    // checkpoint() pulls snapshot_state() re-entrantly; both sides of the
-    // metadata plane run under state_mu_. A tick with nothing journaled
-    // since the last snapshot keeps it: rewriting node_state.meta would
-    // cost a file and a directory fsync under sync_metadata for nothing.
-    std::lock_guard lk(state_mu_);
-    if (disk_->journal().appended() > 0) (void)meta_.checkpoint();
-  }
+  // A tick with nothing journaled since the last snapshot keeps it:
+  // rewriting node_state.meta would cost a file and a directory fsync under
+  // sync_metadata for nothing.
+  if (disk_->journal().appended() > 0) (void)meta_.checkpoint();
   (void)disk_->compact(config_.compaction_pages_per_tick);
   checkpoint_timer_ = transport_.schedule(config_.checkpoint_interval,
                                           [this] { checkpoint_tick(); });
@@ -141,10 +132,7 @@ void Node::recover_meta() {
   if (disk_ == nullptr) return;
   MetaLog::Snapshot snap = meta_.recover();
 
-  // Install the recovered state. Runs from start() before any traffic; the
-  // lock still brackets it for the benefit of restarted-while-cluster-lives
-  // scenarios.
-  std::lock_guard lk(state_mu_);
+  // Install the recovered state. Runs from start() before any traffic.
   granted_bytes_ = snap.granted_bytes;
   pool_ = std::move(snap.pool);
   for (const auto& [base, desc] : snap.regions) {

@@ -37,20 +37,16 @@ void Node::on_migrate_req(const Message& m) {
   const GlobalAddress base = d.addr();
   const NodeId new_home = d.u32();
 
-  RegionDescriptor desc;
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    auto it = homed_regions_.find(base);
-    if (it == homed_regions_.end()) {
-      respond(m, MsgType::kMigrateResp, status_payload(ErrorCode::kNotFound));
-      return;
-    }
-    if (new_home == config_.id) {  // no-op move
-      respond(m, MsgType::kMigrateResp, status_payload(ErrorCode::kOk));
-      return;
-    }
-    desc = it->second;
+  auto it = homed_regions_.find(base);
+  if (it == homed_regions_.end()) {
+    respond(m, MsgType::kMigrateResp, status_payload(ErrorCode::kNotFound));
+    return;
   }
+  if (new_home == config_.id) {  // no-op move
+    respond(m, MsgType::kMigrateResp, status_payload(ErrorCode::kOk));
+    return;
+  }
+  RegionDescriptor desc = it->second;
 
   // Refuse while any page is locked here (migration needs local
   // quiescence; remote holders are fine — their CREW state rides along).
@@ -102,13 +98,11 @@ void Node::on_migrate_req(const Message& m) {
               }
               // Hand-off complete: drop authority, keep a fresh cache
               // entry pointing at the new home, release local page state.
-              std::unique_lock<std::recursive_mutex> g(state_mu_);
               auto it2 = homed_regions_.find(base);
               if (it2 != homed_regions_.end()) {
                 RegionDescriptor moved = it2->second;
                 homed_regions_.erase(it2);
                 meta_.record_region_erase(base);
-                g.unlock();
                 const std::uint32_t psz2 = moved.attrs.page_size;
                 for (GlobalAddress p = moved.range.base;
                      p < moved.range.end(); p = p.plus(psz2)) {
@@ -146,10 +140,7 @@ void Node::on_migrate_data(const Message& m) {
             status_payload(ErrorCode::kBadArgument));
     return;
   }
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    homed_regions_[desc.range.base] = desc;
-  }
+  homed_regions_[desc.range.base] = desc;
   regions_.insert(desc);
 
   const std::uint32_t npages = d.u32();
@@ -183,10 +174,7 @@ void Node::on_migrate_data(const Message& m) {
       info.state = PageState::kShared;
     }
   }
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    meta_.record_region(desc);
-  }
+  meta_.record_region(desc);
 
   // Advertise the new home.
   publish_hint(desc.range, /*retract=*/false);
@@ -279,20 +267,11 @@ void Node::leave(StatusCb cb) {
     return;
   }
   auto bases = std::make_shared<std::vector<GlobalAddress>>();
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    for (const auto& [base, _] : homed_regions_) bases->push_back(base);
-  }
+  for (const auto& [base, _] : homed_regions_) bases->push_back(base);
 
   auto finish = [this, cb]() {
-    std::vector<NodeId> peers;
-    {
-      std::lock_guard<std::recursive_mutex> g(state_mu_);
-      for (NodeId n : members_) {
-        if (n != config_.id) peers.push_back(n);
-      }
-    }
-    for (NodeId n : peers) {
+    for (NodeId n : members_) {
+      if (n == config_.id) continue;
       Message lm;
       lm.type = MsgType::kLeave;
       lm.dst = n;

@@ -63,7 +63,6 @@ Result<RegionAttrs> reconcile_consistency(RegionAttrs attrs) {
 std::optional<GlobalAddress> Node::carve_from_pool(std::uint64_t size) {
   // `size` is already page-aligned; carve an aligned base so large-page
   // regions start on a page boundary. Alignment slack stays in the pool.
-  std::lock_guard<std::recursive_mutex> g(state_mu_);
   for (std::size_t i = 0; i < pool_.size(); ++i) {
     AddressRange& r = pool_[i];
     const GlobalAddress base = r.base;
@@ -77,7 +76,6 @@ std::optional<GlobalAddress> Node::carve_from_pool(std::uint64_t size) {
 }
 
 std::uint64_t Node::pool_bytes() const {
-  std::lock_guard<std::recursive_mutex> g(state_mu_);
   std::uint64_t total = 0;
   for (const auto& r : pool_) total += r.size;
   return total;
@@ -141,14 +139,9 @@ void Node::reserve(std::uint64_t size, const RegionAttrs& raw_attrs,
               }
               const GlobalAddress base = d.addr();
               const std::uint64_t granted = d.u64();
-              std::optional<GlobalAddress> carved;
-              {
-                std::lock_guard<std::recursive_mutex> g(state_mu_);
-                pool_.push_back({base, granted});
-                meta_.record_pool(granted_bytes_, pool_);
-                carved = carve_from_pool(aligned);
-              }
-              if (carved) {
+              pool_.push_back({base, granted});
+              meta_.record_pool(granted_bytes_, pool_);
+              if (const auto carved = carve_from_pool(aligned)) {
                 finish_reserve({*carved, aligned}, attrs, std::move(cb));
               } else {
                 cb(ErrorCode::kNoSpace);
@@ -162,12 +155,9 @@ void Node::finish_reserve(const AddressRange& range, const RegionAttrs& attrs,
   desc.range = range;
   desc.attrs = attrs;
   desc.home_nodes = {config_.id};
-  {
-    std::lock_guard<std::recursive_mutex> g(state_mu_);
-    homed_regions_[range.base] = desc;
-    meta_.record_region(desc);
-    meta_.record_pool(granted_bytes_, pool_);  // reservation was carved from the pool
-  }
+  homed_regions_[range.base] = desc;
+  meta_.record_region(desc);
+  meta_.record_pool(granted_bytes_, pool_);  // reservation was carved from the pool
   regions_.insert(desc);
   ins_.reserves->inc();
 
@@ -201,13 +191,10 @@ void Node::unreserve(const GlobalAddress& base, StatusCb cb) {
     }
     if (desc.primary_home() == config_.id) {
       release_region_pages(desc, desc.range);
-      {
-        std::lock_guard<std::recursive_mutex> g(state_mu_);
-        homed_regions_.erase(base);
-        pool_.push_back(desc.range);  // reclaim into the local pool
-        meta_.record_region_erase(base);
-        meta_.record_pool(granted_bytes_, pool_);
-      }
+      homed_regions_.erase(base);
+      pool_.push_back(desc.range);  // reclaim into the local pool
+      meta_.record_region_erase(base);
+      meta_.record_pool(granted_bytes_, pool_);
       regions_.invalidate(base);
       Encoder map_req;
       map_req.u8(2);  // erase
@@ -256,13 +243,10 @@ void Node::allocate(const AddressRange& range, StatusCb cb) {
     }
     if (desc.primary_home() == config_.id) {
       materialize_region_pages(desc, range);
-      {
-        std::lock_guard<std::recursive_mutex> g(state_mu_);
-        auto it = homed_regions_.find(desc.range.base);
-        if (it != homed_regions_.end()) {
-          it->second.allocated = true;
-          meta_.record_region(it->second);
-        }
+      if (auto it = homed_regions_.find(desc.range.base);
+          it != homed_regions_.end()) {
+        it->second.allocated = true;
+        meta_.record_region(it->second);
       }
       cb(Status{});
       return;

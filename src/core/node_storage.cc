@@ -79,7 +79,6 @@ void Node::release_region_pages(const RegionDescriptor& desc,
     pages_.erase(p);
   }
   // Journal the erase, or recovery brings the page's version back.
-  std::lock_guard lk(state_mu_);
   for (GlobalAddress p = range.base.page_floor(psz); p < range.end();
        p = p.plus(psz)) {
     if (journaled_pages_.erase(p) > 0) meta_.record_page_erase(p);

@@ -4,8 +4,8 @@
 
 namespace khz::location {
 
-bool ClusterState::apply_locked(const GlobalAddress& base, std::uint64_t size,
-                                NodeId node, Micros stamp, bool retracted) {
+bool ClusterState::apply(const GlobalAddress& base, std::uint64_t size,
+                         NodeId node, Micros stamp, bool retracted) {
   Hint& h = hints_[base];
   if (size != 0) h.size = size;
   Record& rec = h.nodes[node];
@@ -17,7 +17,6 @@ bool ClusterState::apply_locked(const GlobalAddress& base, std::uint64_t size,
 
 void ClusterState::publish(const GlobalAddress& base, std::uint64_t size,
                            NodeId node, Micros now) {
-  std::lock_guard lk(mu_);
   Hint& h = hints_[base];
   h.size = size;
   Record& rec = h.nodes[node];
@@ -29,7 +28,6 @@ void ClusterState::publish(const GlobalAddress& base, std::uint64_t size,
 
 void ClusterState::retract(const GlobalAddress& base, NodeId node,
                            Micros now) {
-  std::lock_guard lk(mu_);
   auto it = hints_.find(base);
   if (it == hints_.end()) return;
   auto rec_it = it->second.nodes.find(node);
@@ -39,7 +37,6 @@ void ClusterState::retract(const GlobalAddress& base, NodeId node,
 }
 
 std::size_t ClusterState::retract_node(NodeId node, Micros now) {
-  std::lock_guard lk(mu_);
   std::size_t retracted = 0;
   for (auto& [base, hint] : hints_) {
     auto it = hint.nodes.find(node);
@@ -52,7 +49,6 @@ std::size_t ClusterState::retract_node(NodeId node, Micros now) {
 }
 
 std::vector<NodeId> ClusterState::hint(const GlobalAddress& addr) const {
-  std::lock_guard lk(mu_);
   auto it = hints_.upper_bound(addr);
   if (it == hints_.begin()) return {};
   --it;
@@ -66,7 +62,6 @@ std::vector<NodeId> ClusterState::hint(const GlobalAddress& addr) const {
 }
 
 std::vector<ClusterState::Entry> ClusterState::entries() const {
-  std::lock_guard lk(mu_);
   std::vector<Entry> out;
   for (const auto& [base, hint] : hints_) {
     for (const auto& [node, rec] : hint.nodes) {
@@ -149,7 +144,6 @@ std::optional<std::vector<ClusterState::Entry>> ClusterState::decode_signed(
 
 std::size_t ClusterState::merge(const std::vector<Entry>& in,
                                 const std::function<bool(NodeId)>& is_down) {
-  std::lock_guard lk(mu_);
   std::size_t applied = 0;
   for (const Entry& e : in) {
     const bool down = is_down && is_down(e.node);
@@ -168,31 +162,27 @@ std::size_t ClusterState::merge(const std::vector<Entry>& in,
         continue;
       }
     }
-    if (apply_locked(e.base, e.size, e.node, e.stamp, retract_it)) ++applied;
+    if (apply(e.base, e.size, e.node, e.stamp, retract_it)) ++applied;
   }
   return applied;
 }
 
 void ClusterState::set_free_space_ttl(Micros ttl) {
-  std::lock_guard lk(mu_);
   free_space_ttl_ = ttl;
 }
 
 void ClusterState::report_free_space(NodeId node, std::uint64_t pool_bytes,
                                      Micros now) {
-  std::lock_guard lk(mu_);
   free_space_[node] = {pool_bytes, now};
 }
 
 std::uint64_t ClusterState::free_space_of(NodeId node) const {
-  std::lock_guard lk(mu_);
   auto it = free_space_.find(node);
   return it == free_space_.end() ? 0 : it->second.bytes;
 }
 
 std::optional<NodeId> ClusterState::best_pool_node(std::uint64_t min_bytes,
                                                    Micros now) const {
-  std::lock_guard lk(mu_);
   std::optional<NodeId> best;
   std::uint64_t best_size = min_bytes;
   for (const auto& [node, offer] : free_space_) {
@@ -208,7 +198,6 @@ std::optional<NodeId> ClusterState::best_pool_node(std::uint64_t min_bytes,
 }
 
 std::size_t ClusterState::hint_count() const {
-  std::lock_guard lk(mu_);
   std::size_t live = 0;
   for (const auto& [base, hint] : hints_) {
     for (const auto& [node, rec] : hint.nodes) {

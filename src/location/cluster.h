@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -105,7 +104,6 @@ class ClusterState {
   /// Drops all hint and free-space state, tombstones included (tests
   /// simulate a manager whose hint cache was lost).
   void clear() {
-    std::lock_guard lk(mu_);
     hints_.clear();
     free_space_.clear();
   }
@@ -123,13 +121,10 @@ class ClusterState {
     std::uint64_t bytes = 0;
     Micros stamp = 0;
   };
-  /// Applies one record under mu_; returns true if it changed state.
-  bool apply_locked(const GlobalAddress& base, std::uint64_t size, NodeId node,
-                    Micros stamp, bool retracted);
+  /// Applies one record; returns true if it changed state.
+  bool apply(const GlobalAddress& base, std::uint64_t size, NodeId node,
+             Micros stamp, bool retracted);
 
-  /// Hint state synchronizes internally, so threads other than the node's
-  /// executor (stats readers, tests) may query it safely.
-  mutable std::mutex mu_;
   std::map<GlobalAddress, Hint> hints_;  // keyed by region base
   std::map<NodeId, SpaceOffer> free_space_;
   Micros free_space_ttl_ = 0;

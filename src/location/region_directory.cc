@@ -10,7 +10,6 @@ void RegionDirectory::bind_metrics(obs::MetricsRegistry& registry) {
 
 std::optional<RegionDescriptor> RegionDirectory::lookup(
     const GlobalAddress& addr) {
-  std::lock_guard lk(mu_);
   // Find the last entry with base <= addr, then verify containment.
   auto it = cache_.upper_bound(addr);
   if (it == cache_.begin()) {
@@ -30,7 +29,6 @@ std::optional<RegionDescriptor> RegionDirectory::lookup(
 }
 
 void RegionDirectory::insert(const RegionDescriptor& desc) {
-  std::lock_guard lk(mu_);
   auto it = cache_.find(desc.range.base);
   if (it != cache_.end()) {
     it->second.desc = desc;
@@ -50,7 +48,6 @@ void RegionDirectory::insert(const RegionDescriptor& desc) {
 }
 
 std::vector<RegionDescriptor> RegionDirectory::snapshot() const {
-  std::lock_guard lk(mu_);
   std::vector<RegionDescriptor> out;
   out.reserve(cache_.size());
   for (const auto& [base, entry] : cache_) out.push_back(entry.desc);
@@ -58,7 +55,6 @@ std::vector<RegionDescriptor> RegionDirectory::snapshot() const {
 }
 
 void RegionDirectory::invalidate(const GlobalAddress& addr) {
-  std::lock_guard lk(mu_);
   auto it = cache_.upper_bound(addr);
   if (it == cache_.begin()) return;
   --it;

@@ -10,7 +10,6 @@
 
 #include <list>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -45,10 +44,7 @@ class RegionDirectory {
   /// LRU order.
   [[nodiscard]] std::vector<RegionDescriptor> snapshot() const;
 
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard lk(mu_);
-    return cache_.size();
-  }
+  [[nodiscard]] std::size_t size() const { return cache_.size(); }
 
   /// Counts hits, misses and evictions in the owning node's registry
   /// (region_dir.hits / region_dir.misses / region_dir.evictions).
@@ -61,10 +57,6 @@ class RegionDirectory {
   };
 
   std::size_t capacity_;
-  /// The descriptor cache synchronizes internally, so threads other than
-  /// the node's executor (stats readers, tests) may use it safely. Short
-  /// critical sections; never held across callbacks.
-  mutable std::mutex mu_;
   std::map<GlobalAddress, Entry> cache_;  // keyed by region base
   std::list<GlobalAddress> lru_;          // front = most recent
   obs::Counter* hits_ = nullptr;

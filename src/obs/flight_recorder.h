@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -54,15 +53,12 @@ struct OpDossier {
 };
 
 /// Bounded dossier ring: newest kept, oldest overwritten, drop-counted.
-/// Internally locked: the executor cuts dossiers while other threads
-/// (tests, tools) may read the ring.
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = 32)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
   void record(OpDossier d) {
-    std::lock_guard<std::mutex> g(mu_);
     if (ring_.size() == capacity_) {
       ring_.pop_front();
       ++dropped_;
@@ -72,28 +68,19 @@ class FlightRecorder {
 
   /// Oldest first.
   [[nodiscard]] std::vector<OpDossier> dossiers() const {
-    std::lock_guard<std::mutex> g(mu_);
     return {ring_.begin(), ring_.end()};
   }
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard<std::mutex> g(mu_);
-    return ring_.size();
-  }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Dossiers overwritten by ring wrap-around.
-  [[nodiscard]] std::uint64_t dropped() const {
-    std::lock_guard<std::mutex> g(mu_);
-    return dropped_;
-  }
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   void clear() {
-    std::lock_guard<std::mutex> g(mu_);
     ring_.clear();
     dropped_ = 0;
   }
 
  private:
   std::size_t capacity_;
-  mutable std::mutex mu_;
   std::deque<OpDossier> ring_;
   std::uint64_t dropped_ = 0;
 };

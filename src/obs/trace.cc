@@ -16,7 +16,6 @@ std::uint64_t Tracer::next_id() {
 }
 
 TraceContext Tracer::begin_span(std::string_view name, TraceContext parent) {
-  std::lock_guard lk(mu_);
   Span s;
   s.span_id = next_id();
   s.trace_id = parent.active() ? parent.trace_id : s.span_id;
@@ -35,16 +34,11 @@ TraceContext Tracer::begin_span(std::string_view name, TraceContext parent) {
 
 void Tracer::end_span(const TraceContext& ctx) {
   if (!ctx.active()) return;
-  std::lock_guard lk(mu_);
   auto it = open_.find(ctx.span_id);
   if (it == open_.end()) return;
   Span s = std::move(it->second);
   open_.erase(it);
   s.end = now();
-  push_finished(std::move(s));
-}
-
-void Tracer::push_finished(Span s) {
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(s));
     return;
@@ -54,18 +48,7 @@ void Tracer::push_finished(Span s) {
   ++dropped_;
 }
 
-TraceContext Tracer::current() const {
-  std::lock_guard lk(mu_);
-  return current_;
-}
-
-void Tracer::set_current(TraceContext ctx) {
-  std::lock_guard lk(mu_);
-  current_ = ctx;
-}
-
 std::vector<Span> Tracer::finished_spans() const {
-  std::lock_guard lk(mu_);
   std::vector<Span> out;
   out.reserve(ring_.size());
   // Once the ring wrapped, ring_next_ points at the oldest entry.
@@ -75,13 +58,7 @@ std::vector<Span> Tracer::finished_spans() const {
   return out;
 }
 
-std::uint64_t Tracer::dropped() const {
-  std::lock_guard lk(mu_);
-  return dropped_;
-}
-
 void Tracer::clear() {
-  std::lock_guard lk(mu_);
   ring_.clear();
   ring_next_ = 0;
   open_.clear();

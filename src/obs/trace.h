@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,8 +43,7 @@ struct Span {
   std::string name;
 };
 
-/// Per-node span recorder. Thread-safe (the TCP executor and client threads
-/// may both touch it); under the simulator everything is one thread anyway.
+/// Per-node span recorder, touched only in its node's execution context.
 class Tracer {
  public:
   explicit Tracer(NodeId node, std::size_t capacity = 4096)
@@ -63,21 +61,19 @@ class Tracer {
   void end_span(const TraceContext& ctx);
 
   /// Ambient context of the work currently executing on the node.
-  [[nodiscard]] TraceContext current() const;
-  void set_current(TraceContext ctx);
+  [[nodiscard]] TraceContext current() const { return current_; }
+  void set_current(TraceContext ctx) { current_ = ctx; }
 
   /// Finished spans, oldest first (at most `capacity`).
   [[nodiscard]] std::vector<Span> finished_spans() const;
   /// Finished spans overwritten by ring wrap-around.
-  [[nodiscard]] std::uint64_t dropped() const;
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   void clear();
 
  private:
   [[nodiscard]] Micros now() const { return clock_ ? clock_->now() : 0; }
   std::uint64_t next_id();
-  void push_finished(Span s);  // mu_ held
 
-  mutable std::mutex mu_;
   NodeId node_;
   std::size_t capacity_;
   const Clock* clock_ = nullptr;

@@ -46,7 +46,7 @@ class DiskStore {
   /// Appends the page to the segment log (write-behind; see the durability
   /// contract above). kNoSpace once the page capacity is reached.
   Status put(const GlobalAddress& page, const Bytes& data);
-  /// Batch form: one lock acquisition for a whole victimization batch.
+  /// Batch form, for a whole victimization batch.
   Status put_batch(std::vector<PageWrite> batch);
   [[nodiscard]] std::optional<Bytes> get(const GlobalAddress& page) const;
   bool erase(const GlobalAddress& page);

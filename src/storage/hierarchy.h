@@ -42,7 +42,6 @@ enum class HitLevel { kRam, kDisk, kMiss };
 class StorageHierarchy {
  public:
   /// `disk` may be null (diskless node: victims are dropped via the hook).
-  /// The store's own counters are internally synchronized.
   StorageHierarchy(std::size_t ram_capacity_pages,
                    std::shared_ptr<DiskStore> disk);
 

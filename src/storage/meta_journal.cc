@@ -71,7 +71,6 @@ bool MetaJournal::sync_now() {
 }
 
 Status MetaJournal::append(const Bytes& record) {
-  std::lock_guard lock(mu_);
   if (!out_) return ErrorCode::kInternal;
   put_u32(out_, static_cast<std::uint32_t>(record.size()));
   put_u32(out_, fnv1a(record));
@@ -91,7 +90,6 @@ Status MetaJournal::append(const Bytes& record) {
 }
 
 Status MetaJournal::sync() {
-  std::lock_guard lock(mu_);
   if (!sync_on_commit_ || !dirty_) return {};
   dirty_ = false;
   return sync_now() ? Status{} : Status{ErrorCode::kInternal};
@@ -119,7 +117,6 @@ std::size_t MetaJournal::replay(
 }
 
 Status MetaJournal::reset() {
-  std::lock_guard lock(mu_);
   out_.close();
   out_.open(path_, std::ios::binary | std::ios::trunc);
   const bool ok = static_cast<bool>(out_);

@@ -17,7 +17,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <mutex>
 
 #include "common/result.h"
 #include "common/serialize.h"
@@ -67,10 +66,7 @@ class MetaJournal {
   Status reset();
 
   /// Records appended since open/reset — the owner's compaction trigger.
-  [[nodiscard]] std::size_t appended() const {
-    std::lock_guard lock(mu_);
-    return appended_;
-  }
+  [[nodiscard]] std::size_t appended() const { return appended_; }
 
   [[nodiscard]] const std::filesystem::path& path() const { return path_; }
 
@@ -81,9 +77,6 @@ class MetaJournal {
   [[nodiscard]] bool sync_now();
 
   std::filesystem::path path_;
-  /// Guards the stream and the dirty flag, so appends and the owner's
-  /// group-commit sync are safe from any thread.
-  mutable std::mutex mu_;
   std::ofstream out_;
   std::size_t appended_ = 0;
   bool sync_on_commit_ = false;

@@ -59,7 +59,6 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentConfig cfg)
     : dir_(std::move(dir)), cfg_(cfg) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
-  std::lock_guard lock(mu_);
   // Rebuild the index: scan every segment in ascending id order so later
   // records win (newest state), as they would have at append time.
   std::vector<std::uint64_t> ids;
@@ -75,7 +74,7 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentConfig cfg)
   }
   std::sort(ids.begin(), ids.end());
   for (std::uint64_t id : ids) {
-    const std::uint64_t intact = scan_segment_locked(id);
+    const std::uint64_t intact = scan_segment(id);
     if (intact < segments_[id].size) {
       // Torn tail: a crash cut an append short. Drop the garbage so new
       // appends start from the last intact record.
@@ -86,16 +85,15 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentConfig cfg)
       segments_[id].size = intact;
     }
   }
-  open_head_locked(ids.empty() ? 0 : ids.back());
-  update_gauge_locked();
+  open_head(ids.empty() ? 0 : ids.back());
+  update_gauge();
 }
 
 SegmentStore::~SegmentStore() {
-  std::lock_guard lock(mu_);
   // Flush (no sync): a destroyed store must leave a complete log on the
   // filesystem — sim-world "crash" destroys the Node, and restart tests
   // expect pre-crash pages back byte-identically.
-  flush_buffer_locked();
+  flush_buffer();
   for (auto& [id, seg] : segments_) {
     if (seg.read_fd >= 0) ::close(seg.read_fd);
   }
@@ -110,7 +108,7 @@ std::filesystem::path SegmentStore::seg_path(std::uint64_t id) const {
   return dir_ / name;
 }
 
-void SegmentStore::open_head_locked(std::uint64_t id) {
+void SegmentStore::open_head(std::uint64_t id) {
   head_ = id;
   auto& seg = segments_[id];  // creates the entry for a fresh segment
   head_fd_ = ::open(seg_path(id).c_str(),
@@ -121,8 +119,8 @@ void SegmentStore::open_head_locked(std::uint64_t id) {
   head_flushed_ = seg.size;
 }
 
-void SegmentStore::rotate_locked() {
-  flush_buffer_locked();
+void SegmentStore::rotate() {
+  flush_buffer();
   if (head_fd_ >= 0) {
     if (sync_on_commit_ && head_dirty_) {
       // The rotated-away file still holds uncommitted records; keep its fd
@@ -132,17 +130,16 @@ void SegmentStore::rotate_locked() {
       ::close(head_fd_);
     }
   }
-  open_head_locked(head_ + 1);
-  update_gauge_locked();
+  open_head(head_ + 1);
+  update_gauge();
 }
 
-Status SegmentStore::append_locked(const GlobalAddress& addr,
-                                   const Bytes* data) {
+Status SegmentStore::append(const GlobalAddress& addr, const Bytes* data) {
   if (head_fd_ < 0) return ErrorCode::kInternal;
   auto& head = segments_[head_];
   if (head.size >= cfg_.segment_bytes) {
-    rotate_locked();
-    return append_locked(addr, data);
+    rotate();
+    return append(addr, data);
   }
   const std::uint32_t len =
       data ? static_cast<std::uint32_t>(data->size()) : 0;
@@ -157,7 +154,7 @@ Status SegmentStore::append_locked(const GlobalAddress& addr,
   buffer_ = std::move(e).take();
 
   auto& seg = segments_[head_];
-  drop_index_locked(addr);
+  drop_index(addr);
   if (data) {
     index_[addr] = Locator{head_, seg.size + kHeaderBytes, len};
     seg.live_payload += len;
@@ -167,11 +164,11 @@ Status SegmentStore::append_locked(const GlobalAddress& addr,
   seg.size += kHeaderBytes + len;
   pending_bytes_ += kHeaderBytes + len;
   head_dirty_ = true;
-  if (buffer_.size() >= cfg_.flush_buffer_bytes) flush_buffer_locked();
+  if (buffer_.size() >= cfg_.flush_buffer_bytes) flush_buffer();
   return {};
 }
 
-void SegmentStore::flush_buffer_locked() {
+void SegmentStore::flush_buffer() {
   if (buffer_.empty()) return;
   if (head_fd_ >= 0 && write_all(head_fd_, buffer_.data(), buffer_.size())) {
     head_flushed_ += buffer_.size();
@@ -181,7 +178,7 @@ void SegmentStore::flush_buffer_locked() {
   buffer_.clear();
 }
 
-void SegmentStore::drop_index_locked(const GlobalAddress& addr) {
+void SegmentStore::drop_index(const GlobalAddress& addr) {
   auto it = index_.find(addr);
   if (it == index_.end()) return;
   auto seg = segments_.find(it->second.seg);
@@ -190,26 +187,23 @@ void SegmentStore::drop_index_locked(const GlobalAddress& addr) {
 }
 
 Status SegmentStore::put(const GlobalAddress& addr, const Bytes& data) {
-  std::lock_guard lock(mu_);
-  return append_locked(addr, &data);
+  return append(addr, &data);
 }
 
 Status SegmentStore::put_batch(std::vector<PageWrite> batch) {
-  std::lock_guard lock(mu_);
   for (const PageWrite& w : batch) {
-    if (Status s = append_locked(w.addr, &w.data); !s.ok()) return s;
+    if (Status s = append(w.addr, &w.data); !s.ok()) return s;
   }
   return {};
 }
 
 bool SegmentStore::erase(const GlobalAddress& addr) {
-  std::lock_guard lock(mu_);
   if (!index_.contains(addr)) return false;
-  (void)append_locked(addr, nullptr);
+  (void)append(addr, nullptr);
   return true;
 }
 
-int SegmentStore::reader_locked(std::uint64_t id) {
+int SegmentStore::reader(std::uint64_t id) {
   auto it = segments_.find(id);
   if (it == segments_.end()) return -1;
   if (it->second.read_fd < 0) {
@@ -220,16 +214,15 @@ int SegmentStore::reader_locked(std::uint64_t id) {
 }
 
 std::optional<Bytes> SegmentStore::get(const GlobalAddress& addr) {
-  std::lock_guard lock(mu_);
   auto it = index_.find(addr);
   if (it == index_.end()) return std::nullopt;
   const Locator loc = it->second;
   if (loc.seg == head_ && loc.offset + loc.len > head_flushed_) {
     // The record is still (partly) in the write-behind buffer; push it to
     // the file rather than stitching reads across buffer and fd.
-    flush_buffer_locked();
+    flush_buffer();
   }
-  const int fd = reader_locked(loc.seg);
+  const int fd = reader(loc.seg);
   if (fd < 0) return std::nullopt;
   Bytes out(loc.len);
   std::size_t done = 0;
@@ -244,18 +237,7 @@ std::optional<Bytes> SegmentStore::get(const GlobalAddress& addr) {
   return out;
 }
 
-bool SegmentStore::contains(const GlobalAddress& addr) const {
-  std::lock_guard lock(mu_);
-  return index_.contains(addr);
-}
-
-std::size_t SegmentStore::live_pages() const {
-  std::lock_guard lock(mu_);
-  return index_.size();
-}
-
 std::vector<GlobalAddress> SegmentStore::scan() const {
-  std::lock_guard lock(mu_);
   std::vector<GlobalAddress> out;
   out.reserve(index_.size());
   for (const auto& [addr, loc] : index_) out.push_back(addr);
@@ -263,24 +245,9 @@ std::vector<GlobalAddress> SegmentStore::scan() const {
   return out;
 }
 
-std::uint64_t SegmentStore::pending_bytes() const {
-  std::lock_guard lock(mu_);
-  return pending_bytes_;
-}
-
-std::uint64_t SegmentStore::pending_pages() const {
-  std::lock_guard lock(mu_);
-  return pending_pages_;
-}
-
 Status SegmentStore::commit() {
-  std::lock_guard lock(mu_);
-  return commit_locked();
-}
-
-Status SegmentStore::commit_locked() {
   if (buffer_.empty() && !head_dirty_ && unsynced_fds_.empty()) return {};
-  flush_buffer_locked();
+  flush_buffer();
   if (group_commit_pages_ && pending_pages_ > 0) {
     group_commit_pages_->record(pending_pages_);
   }
@@ -306,7 +273,7 @@ Status SegmentStore::commit_locked() {
   return status;
 }
 
-std::uint64_t SegmentStore::scan_segment_locked(std::uint64_t id) {
+std::uint64_t SegmentStore::scan_segment(std::uint64_t id) {
   std::ifstream in(seg_path(id), std::ios::binary);
   Bytes raw;
   if (in) {
@@ -334,7 +301,7 @@ std::uint64_t SegmentStore::scan_segment_locked(std::uint64_t id) {
         fnv1a(raw.data() + pos + kHeaderBytes, len) != sum) {
       break;  // torn or corrupt: everything from here on is garbage
     }
-    drop_index_locked(addr);
+    drop_index(addr);
     if (kind == kKindPut) {
       index_[addr] = Locator{id, pos + kHeaderBytes, len};
       seg.live_payload += len;
@@ -346,8 +313,7 @@ std::uint64_t SegmentStore::scan_segment_locked(std::uint64_t id) {
 }
 
 std::size_t SegmentStore::compact(std::size_t max_pages) {
-  std::lock_guard lock(mu_);
-  flush_buffer_locked();
+  flush_buffer();
   // Cold candidates: every non-head segment less than half live. A fully
   // dead segment (live == 0) qualifies trivially and is just unlinked.
   std::vector<std::uint64_t> cold;
@@ -376,7 +342,7 @@ std::size_t SegmentStore::compact(std::size_t max_pages) {
       continue;
     }
     for (const auto& [addr, loc] : live) {
-      const int fd = reader_locked(id);
+      const int fd = reader(id);
       if (fd < 0) continue;
       Bytes data(loc.len);
       std::size_t done = 0;
@@ -393,14 +359,14 @@ std::size_t SegmentStore::compact(std::size_t max_pages) {
         done += static_cast<std::size_t>(r);
       }
       if (!ok) continue;
-      (void)append_locked(addr, &data);
+      (void)append(addr, &data);
       ++rewritten;
     }
     completed.push_back(id);
   }
   // Commit the copies before unlinking their sources: a crash in between
   // must always leave at least one committed copy of every page.
-  (void)commit_locked();
+  (void)commit();
   std::error_code ec;
   for (std::uint64_t id : completed) {
     auto it = segments_.find(id);
@@ -412,12 +378,11 @@ std::size_t SegmentStore::compact(std::size_t max_pages) {
   if (compaction_pages_ && rewritten > 0) {
     compaction_pages_->inc(rewritten);
   }
-  update_gauge_locked();
+  update_gauge();
   return rewritten;
 }
 
 SegmentStats SegmentStore::stats() const {
-  std::lock_guard lock(mu_);
   SegmentStats s;
   s.segments = segments_.size();
   for (const auto& [id, seg] : segments_) {
@@ -427,19 +392,18 @@ SegmentStats SegmentStore::stats() const {
   return s;
 }
 
-void SegmentStore::update_gauge_locked() {
+void SegmentStore::update_gauge() {
   if (segments_live_) {
     segments_live_->set(static_cast<std::int64_t>(segments_.size()));
   }
 }
 
 void SegmentStore::bind_metrics(obs::MetricsRegistry& m) {
-  std::lock_guard lock(mu_);
   group_commit_pages_ = &m.histogram("storage.group_commit_pages");
   fsync_us_ = &m.histogram("storage.fsync_us");
   segments_live_ = &m.gauge("storage.segments_live");
   compaction_pages_ = &m.counter("storage.compaction_pages");
-  update_gauge_locked();
+  update_gauge();
 }
 
 }  // namespace khz::storage

@@ -30,13 +30,12 @@
 //
 // Record framing (little-endian): u32 magic, u8 kind (put/tombstone),
 // u64 addr.hi, u64 addr.lo, u32 payload length, u32 FNV-1a payload
-// checksum, payload. All methods are thread-safe (one internal mutex).
+// checksum, payload.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -84,15 +83,17 @@ class SegmentStore {
   /// Appends one page record (write-behind; durable at the next committed
   /// group commit when sync-on-commit is enabled).
   Status put(const GlobalAddress& addr, const Bytes& data);
-  /// Appends a batch of page records under one lock acquisition — the
-  /// hierarchy's victimization writeback path.
+  /// Appends a batch of page records — the hierarchy's victimization
+  /// writeback path.
   Status put_batch(std::vector<PageWrite> batch);
   /// Appends a tombstone; returns whether the page was present.
   bool erase(const GlobalAddress& addr);
 
   [[nodiscard]] std::optional<Bytes> get(const GlobalAddress& addr);
-  [[nodiscard]] bool contains(const GlobalAddress& addr) const;
-  [[nodiscard]] std::size_t live_pages() const;
+  [[nodiscard]] bool contains(const GlobalAddress& addr) const {
+    return index_.contains(addr);
+  }
+  [[nodiscard]] std::size_t live_pages() const { return index_.size(); }
   /// Every live page (sorted), for restart recovery.
   [[nodiscard]] std::vector<GlobalAddress> scan() const;
 
@@ -106,8 +107,8 @@ class SegmentStore {
   void set_sync_on_commit(bool on) { sync_on_commit_ = on; }
 
   /// Payload bytes appended since the last commit().
-  [[nodiscard]] std::uint64_t pending_bytes() const;
-  [[nodiscard]] std::uint64_t pending_pages() const;
+  [[nodiscard]] std::uint64_t pending_bytes() const { return pending_bytes_; }
+  [[nodiscard]] std::uint64_t pending_pages() const { return pending_pages_; }
 
   /// Checkpoint/compaction: rewrites the live records of cold segments
   /// (less than half their payload still live, plus fully-dead ones) into
@@ -141,23 +142,21 @@ class SegmentStore {
 
   [[nodiscard]] std::filesystem::path seg_path(std::uint64_t id) const;
   /// Serializes one record into the write-behind buffer and indexes it.
-  Status append_locked(const GlobalAddress& addr, const Bytes* data);
-  void flush_buffer_locked();
-  Status commit_locked();
-  void rotate_locked();
-  void open_head_locked(std::uint64_t id);
+  Status append(const GlobalAddress& addr, const Bytes* data);
+  void flush_buffer();
+  void rotate();
+  void open_head(std::uint64_t id);
   /// Scans one segment file into the index; returns the offset of the
   /// first torn/corrupt record (== intact file size).
-  std::uint64_t scan_segment_locked(std::uint64_t id);
-  void drop_index_locked(const GlobalAddress& addr);
-  [[nodiscard]] int reader_locked(std::uint64_t id);
-  void update_gauge_locked();
+  std::uint64_t scan_segment(std::uint64_t id);
+  void drop_index(const GlobalAddress& addr);
+  [[nodiscard]] int reader(std::uint64_t id);
+  void update_gauge();
 
   std::filesystem::path dir_;
   SegmentConfig cfg_;
   bool sync_on_commit_ = false;
 
-  mutable std::mutex mu_;
   std::unordered_map<GlobalAddress, Locator> index_;
   std::map<std::uint64_t, Segment> segments_;  // ordered: scan/compact order
   std::uint64_t head_ = 0;                     // current segment id

@@ -3,12 +3,15 @@
 // threads — demonstrating the paper's portability claim that only the
 // messaging layer is system-dependent (Section 5).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "core/tcp_world.h"
@@ -726,6 +729,88 @@ TEST(TcpIntegration, KfsBlocksBelowTheirInodeNeverStallReaders) {
   EXPECT_EQ(failed.load(), 0);
   EXPECT_GE(reads.load(), kMinOps);
   EXPECT_GE(writes.load(), kMinOps);
+}
+
+// ---------------------------------------------------------------------------
+// The metadata plane and every node timer beside client threads
+// ---------------------------------------------------------------------------
+
+TEST(TcpIntegration, MetadataPlaneAndTimersStayOnTheExecutor) {
+  // Node state takes no locks: only the node's executor touches it. Here
+  // every node timer runs (pings, group commit, checkpoints, the stats
+  // sampler, slow-op dossiers) over a disk root, while two client threads
+  // drive the metadata plane and the main thread scrapes and exports
+  // traces. Under the thread sanitizer, any access from another thread
+  // shows as a race.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() /
+                        ("khz_tcp_timers_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  struct RemoveOnExit {
+    fs::path dir;
+    ~RemoveOnExit() { fs::remove_all(dir); }
+  } cleanup{root};
+  TcpWorld world({.nodes = 3,
+                  .base_port = 30490,
+                  .disk_root = root,
+                  .ping_interval = 20'000,
+                  .group_commit_us = 1'000,
+                  .checkpoint_interval = 5'000,
+                  .slow_op_threshold_us = 1,
+                  .stats_sample_interval = 5'000});
+
+  // create_region -> put -> get -> getattr -> locate -> deallocate ->
+  // unreserve, 40 times from each of nodes 1 and 2.
+  std::atomic<int> failed{0};
+  auto worker = [&](NodeId node) {
+    TcpClient c(world, node);
+    for (int i = 0; i < 40; ++i) {
+      auto base = c.create_region(8192);
+      if (!base.ok()) {
+        failed.fetch_add(1);
+        continue;
+      }
+      const AddressRange r{base.value(), 8192};
+      const Bytes data = pattern(8192, static_cast<std::uint8_t>(node + i));
+      const bool put_ok = c.put(r, data).ok();
+      auto got = c.get(r);
+      const bool ok = put_ok && got.ok() && got.value() == data &&
+                      c.getattr(base.value()).ok() &&
+                      c.locate(base.value()).ok() && c.deallocate(r).ok() &&
+                      c.unreserve(base.value()).ok();
+      if (!ok) failed.fetch_add(1);
+    }
+  };
+  std::thread t1(worker, 1);
+  std::thread t2(worker, 2);
+  for (int i = 0; i < 20; ++i) {
+    auto rs = world.scrape(0, static_cast<NodeId>(i % 3),
+                           Node::kScrapeSeries | Node::kScrapeDossiers);
+    EXPECT_TRUE(rs.ok()) << i;
+  }
+  EXPECT_FALSE(world.trace_json().empty());
+  EXPECT_FALSE(world.cluster_metrics_json().empty());
+  t1.join();
+  t2.join();
+  EXPECT_EQ(failed.load(), 0);
+  // A few more ticks of the 5 ms timers, in case the load outran them.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  for (NodeId n : {1u, 2u}) {
+    const auto snap = world.node(n).metrics().snapshot();
+    const auto it = snap.histograms.find("storage.group_commit_pages");
+    ASSERT_NE(it, snap.histograms.end()) << n;
+    EXPECT_GT(it->second.count, 0u) << n;
+  }
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_GE(world.node(n).metrics().counter("telemetry.samples").value(),
+              1u)
+        << n;
+  }
+  EXPECT_TRUE(fs::exists(root / "node1" / "node_state.meta"));
+  auto dossiers = world.scrape(0, 1, Node::kScrapeDossiers);
+  ASSERT_TRUE(dossiers.ok());
+  EXPECT_FALSE(dossiers.value().dossiers.empty());
 }
 
 }  // namespace
