@@ -54,6 +54,10 @@ void MetaLog::append(const Bytes& record) {
   auto* disk = storage_.disk();
   if (disk == nullptr) return;
   (void)disk->journal().append(record);
+  // The durability policy point: every record, including a page version
+  // written after its bytes, funnels through here. Without group commit
+  // but with sync it commits inline; with group commit the timer does.
+  (void)disk->maybe_commit();
   if (disk->journal().appended() >= checkpoint_at_) (void)checkpoint();
 }
 

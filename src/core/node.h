@@ -485,6 +485,20 @@ class Node final : public consistency::CmHost,
   /// Publishes (or retracts) a location hint for `range` held by this node
   /// to every cluster manager, piggybacking the current pool size.
   void publish_hint(const AddressRange& range, bool retract);
+  /// kMapMutateReq ops: the address map entry for a range is inserted,
+  /// erased or given a new home list.
+  static constexpr std::uint8_t kMapInsert = 1;
+  static constexpr std::uint8_t kMapErase = 2;
+  static constexpr std::uint8_t kMapUpdateHomes = 3;
+  /// Sends `op` for `range` (with its `homes`) to the address map's home,
+  /// reliably in the background: the map is a hint structure and
+  /// tolerates lag.
+  void mutate_map(std::uint8_t op, const AddressRange& range,
+                  const std::vector<NodeId>& homes);
+  /// Unreserve at the home, for a local or a remote caller: frees the
+  /// region's pages, returns its range to the pool, journals both, and
+  /// erases the map entry and the managers' hint.
+  void drop_homed_region(const RegionDescriptor& desc);
   [[nodiscard]] std::optional<GlobalAddress> carve_from_pool(
       std::uint64_t size);
   void finish_reserve(const AddressRange& range, const RegionAttrs& attrs,

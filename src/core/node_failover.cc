@@ -220,13 +220,7 @@ void Node::promote_region(RegionDescriptor desc, NodeId dead) {
   // Advertise the new home: hints to the cluster managers, home list to
   // the address map (release-type: retried in the background).
   publish_hint(desc.range, /*retract=*/false);
-  Encoder map_req;
-  map_req.u8(3);  // update_homes
-  map_req.range(desc.range);
-  map_req.u32(static_cast<std::uint32_t>(desc.home_nodes.size()));
-  for (NodeId h : desc.home_nodes) map_req.u32(h);
-  engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
-                std::move(map_req).take());
+  mutate_map(kMapUpdateHomes, desc.range, desc.home_nodes);
 
   // Honor min_replicas before accepting new writes: gate write grants
   // (write_gated) and kick replica maintenance to rebuild the copyset.

@@ -77,20 +77,31 @@ void Node::on_unreserve_req(const Message& m) {
     respond(m, MsgType::kUnreserveResp, status_payload(ErrorCode::kOk));
     return;
   }
-  const RegionDescriptor desc = it->second;
-  release_region_pages(desc, desc.range);
-  homed_regions_.erase(base);
-  pool_.push_back(desc.range);
-  meta_.record_region_erase(base);
-  meta_.record_pool(granted_bytes_, pool_);
-  regions_.invalidate(base);
-  Encoder map_req;
-  map_req.u8(2);  // erase
-  map_req.range(desc.range);
-  map_req.u32(0);
-  engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
-                std::move(map_req).take());
+  const RegionDescriptor desc = it->second;  // the drop erases the entry
+  drop_homed_region(desc);
   respond(m, MsgType::kUnreserveResp, status_payload(ErrorCode::kOk));
+}
+
+void Node::drop_homed_region(const RegionDescriptor& desc) {
+  release_region_pages(desc, desc.range);
+  homed_regions_.erase(desc.range.base);
+  pool_.push_back(desc.range);  // reclaim into the local pool
+  meta_.record_region_erase(desc.range.base);
+  meta_.record_pool(granted_bytes_, pool_);
+  regions_.invalidate(desc.range.base);
+  mutate_map(kMapErase, desc.range, {});
+  publish_hint(desc.range, /*retract=*/true);
+}
+
+void Node::mutate_map(std::uint8_t op, const AddressRange& range,
+                      const std::vector<NodeId>& homes) {
+  Encoder e;
+  e.u8(op);
+  e.range(range);
+  e.u32(static_cast<std::uint32_t>(homes.size()));
+  for (NodeId h : homes) e.u32(h);
+  engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
+                        std::move(e).take());
 }
 
 void Node::publish_hint(const AddressRange& range, bool retract) {
@@ -154,15 +165,17 @@ void Node::on_map_mutate_req(const Message& m) {
   }
   Status s;
   switch (op) {
-    case 1: s = map_->insert(range, homes); break;
-    case 2: s = map_->erase(range.base); break;
-    case 3: s = map_->update_homes(range.base, homes); break;
+    case kMapInsert: s = map_->insert(range, homes); break;
+    case kMapErase: s = map_->erase(range.base); break;
+    case kMapUpdateHomes: s = map_->update_homes(range.base, homes); break;
     default: s = ErrorCode::kBadArgument; break;
   }
   // Duplicate deliveries of reliable sends are expected; report them as
   // success so the sender's retry loop terminates.
-  if (s.error() == ErrorCode::kAlreadyReserved && op == 1) s = Status{};
-  if (s.error() == ErrorCode::kNotFound && (op == 2 || op == 3)) s = Status{};
+  if (s.error() == ErrorCode::kAlreadyReserved && op == kMapInsert) {
+    s = Status{};
+  }
+  if (s.error() == ErrorCode::kNotFound && op != kMapInsert) s = Status{};
   respond(m, MsgType::kMapMutateResp, status_payload(s.error()));
 }
 
@@ -443,13 +456,7 @@ void Node::maintain_replicas(const GlobalAddress& page) {
           desc.home_nodes.size() < AddressMap::kMaxHomes) {
         desc.home_nodes.push_back(n);
         regions_.insert(desc);
-        Encoder map_req;
-        map_req.u8(3);  // update_homes
-        map_req.range(desc.range);
-        map_req.u32(static_cast<std::uint32_t>(desc.home_nodes.size()));
-        for (NodeId h : desc.home_nodes) map_req.u32(h);
-        engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
-                      std::move(map_req).take());
+        mutate_map(kMapUpdateHomes, desc.range, desc.home_nodes);
       }
     }
     return;

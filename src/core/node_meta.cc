@@ -69,11 +69,6 @@ void Node::journal_page(const GlobalAddress& page) {
   const Version v = info != nullptr ? info->version : 0;
   journaled_pages_[page] = v;
   meta_.record_page(page, v);
-  // Group-commit policy point: every durable page write funnels through
-  // here (store_page, unlock write-back, fail-over promotion), so this one
-  // call covers the whole write-through path. Inline per-write fdatasync
-  // without group commit; with it, the commit timer picks the batch up.
-  if (disk_ != nullptr) (void)disk_->maybe_commit();
 }
 
 // ---------------------------------------------------------------------------

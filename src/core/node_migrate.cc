@@ -117,14 +117,7 @@ void Node::on_migrate_req(const Message& m) {
                 regions_.insert(moved);
 
                 // Update the map and the manager's hints.
-                Encoder map_req;
-                map_req.u8(3);  // update_homes
-                map_req.range(moved.range);
-                map_req.u32(
-                    static_cast<std::uint32_t>(moved.home_nodes.size()));
-                for (NodeId h : moved.home_nodes) map_req.u32(h);
-                engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
-                              std::move(map_req).take());
+                mutate_map(kMapUpdateHomes, moved.range, moved.home_nodes);
                 publish_hint(moved.range, /*retract=*/true);
               }
               respond(m, MsgType::kMigrateResp,

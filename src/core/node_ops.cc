@@ -161,17 +161,9 @@ void Node::finish_reserve(const AddressRange& range, const RegionAttrs& attrs,
   regions_.insert(desc);
   ins_.reserves->inc();
 
-  // Register the reservation with the address map (background-reliable;
-  // the map is a hint structure and tolerates lag) and publish a location
+  // Register the reservation with the address map and publish a location
   // hint to the cluster manager.
-  Encoder map_req;
-  map_req.u8(1);  // insert
-  map_req.range(range);
-  map_req.u32(1);
-  map_req.u32(config_.id);
-  engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
-                std::move(map_req).take());
-
+  mutate_map(kMapInsert, range, {config_.id});
   publish_hint(range, /*retract=*/false);
 
   cb(range.base);
@@ -190,19 +182,7 @@ void Node::unreserve(const GlobalAddress& base, StatusCb cb) {
       return;
     }
     if (desc.primary_home() == config_.id) {
-      release_region_pages(desc, desc.range);
-      homed_regions_.erase(base);
-      pool_.push_back(desc.range);  // reclaim into the local pool
-      meta_.record_region_erase(base);
-      meta_.record_pool(granted_bytes_, pool_);
-      regions_.invalidate(base);
-      Encoder map_req;
-      map_req.u8(2);  // erase
-      map_req.range(desc.range);
-      map_req.u32(0);
-      engine_.send_reliable(config_.genesis, MsgType::kMapMutateReq,
-                            std::move(map_req).take());
-      publish_hint(desc.range, /*retract=*/true);
+      drop_homed_region(desc);
       cb(Status{});
       return;
     }

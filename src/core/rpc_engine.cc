@@ -277,28 +277,26 @@ void RpcEngine::finish(std::uint64_t call_id, bool ok, const Bytes* payload) {
 }
 
 void RpcEngine::send_reliable(NodeId dst, net::MsgType type, Bytes payload) {
-  if (policy_.reliable_queue_limit > 0) {
-    // Bound the backlog per destination: a peer that stays down for hours
-    // must not grow this map without limit. Drop oldest-first — the newest
-    // message usually supersedes it (replica pushes, hint publishes carry
-    // current state), and the map is keyed by increasing id, so the first
-    // match is the oldest.
-    std::size_t depth = 0;
-    auto oldest = reliable_.end();
-    for (auto it = reliable_.begin(); it != reliable_.end(); ++it) {
-      if (it->second.dst != dst) continue;
-      if (oldest == reliable_.end()) oldest = it;
-      ++depth;
+  // Bound the backlog per destination: a peer that stays down for hours
+  // must not grow this map without limit. Drop oldest-first — the newest
+  // message usually supersedes it (replica pushes, hint publishes carry
+  // current state), and the map is keyed by increasing id, so the first
+  // match is the oldest.
+  std::size_t depth = 0;
+  auto oldest = reliable_.end();
+  for (auto it = reliable_.begin(); it != reliable_.end(); ++it) {
+    if (it->second.dst != dst) continue;
+    if (oldest == reliable_.end()) oldest = it;
+    ++depth;
+  }
+  if (depth >= policy_.reliable_queue_limit && oldest != reliable_.end()) {
+    if (oldest->second.retry_timer != 0) {
+      host_.cancel(oldest->second.retry_timer);
     }
-    if (depth >= policy_.reliable_queue_limit && oldest != reliable_.end()) {
-      if (oldest->second.retry_timer != 0) {
-        host_.cancel(oldest->second.retry_timer);
-      }
-      // If the entry has an attempt in flight its completion lambda finds
-      // the id gone and does nothing — same late-reply tolerance as calls.
-      reliable_.erase(oldest);
-      ins_.reliable_dropped->inc();
-    }
+    // If the entry has an attempt in flight its completion lambda finds
+    // the id gone and does nothing — same late-reply tolerance as calls.
+    reliable_.erase(oldest);
+    ins_.reliable_dropped->inc();
   }
   const std::uint64_t rid = next_reliable_id_++;
   reliable_[rid] = ReliableSend{dst, type, std::move(payload)};

@@ -75,9 +75,9 @@ struct RpcPolicy {
   /// or long-idle destination may spend up to this many before the ratio
   /// governs. 0 disables budgeting entirely.
   double retry_budget_cap = 50;
-  /// Maximum queued reliable sends per destination. A long-down peer stops
-  /// accumulating past this: the oldest pending delivery to it is dropped
-  /// (counted as rpc.reliable_dropped). 0 = unbounded (legacy behavior).
+  /// Maximum queued reliable sends per destination (at least 1). A
+  /// long-down peer stops accumulating past this: the oldest pending
+  /// delivery to it is dropped (counted as rpc.reliable_dropped).
   std::size_t reliable_queue_limit = 256;
 };
 

@@ -71,9 +71,10 @@ std::vector<GlobalAddress> DiskStore::scan() const {
 }
 
 Status DiskStore::commit() {
-  Status s = segments_->commit();
-  if (Status j = journal_->sync(); !j.ok()) s = j;
-  return s;
+  // Segments before the journal: a journal record synced ahead of the page
+  // bytes it names would replay a version that power loss took away.
+  if (Status s = segments_->commit(sync_on_commit_); !s.ok()) return s;
+  return sync_on_commit_ ? journal_->sync() : Status{};
 }
 
 Status DiskStore::maybe_commit() {
@@ -81,17 +82,6 @@ Status DiskStore::maybe_commit() {
   // sync-on-commit is the per-write fdatasync baseline.
   if (!group_commit_ && sync_on_commit_) return commit();
   return {};
-}
-
-void DiskStore::set_sync_on_commit(bool on) {
-  sync_on_commit_ = on;
-  segments_->set_sync_on_commit(on);
-  journal_->set_sync_on_commit(on);
-}
-
-void DiskStore::set_group_commit(bool on) {
-  group_commit_ = on;
-  journal_->set_group_commit(on);
 }
 
 Status DiskStore::put_meta(const std::string& name, const Bytes& data) {

@@ -1,24 +1,27 @@
 // Persistent level of the local storage hierarchy.
 //
 // Pages live in an append-only SegmentStore (storage/segment_store.h):
-// large segment files fed through a write-behind buffer, durable at group
-// commit. Alongside the page namespace the store keeps "<name>.meta"
-// sidecar files for node-level persistent metadata blobs (the page
-// directory's persistent entries, the node's reserved-pool state) and owns
-// the write-ahead MetaJournal. Contents survive node restart — and, with
-// sync-on-commit enabled, power loss up to the last group commit — which
-// the crash/recovery tests exercise.
+// large segment files, each append handed to the kernel before it returns,
+// durable at group commit. Alongside the page namespace the store keeps
+// "<name>.meta" sidecar files for node-level persistent metadata blobs (the
+// page directory's persistent entries, the node's reserved-pool state) and
+// owns the write-ahead MetaJournal. Contents survive a killed process — and,
+// with sync-on-commit enabled, power loss up to the last commit — which the
+// crash/recovery tests exercise.
 //
-// Durability contract (docs/storage.md):
-//   * put()/erase() append to the segment log write-behind; put_meta()
-//     replaces its sidecar immediately and atomically (temporary file plus
-//     rename, both synced when syncing).
-//   * commit() makes everything appended so far — segment records and
-//     journal records — durable with one fdatasync per dirty file.
-//   * maybe_commit() is the group-commit policy point: under group commit
-//     it does nothing (the owner's timer drains the batch); without group
-//     commit but with sync-on-commit it commits inline, which is the
-//     per-write-fdatasync baseline the bench measures against.
+// Durability contract (docs/storage.md). This class is the only owner of
+// the sync policy; neither log syncs on its own:
+//   * put()/erase() and journal().append() reach the kernel before they
+//     return, so a page's bytes are in the file before the journal record
+//     that names them. put_meta() replaces its sidecar atomically
+//     (temporary file plus rename, both synced when syncing).
+//   * commit() closes the batch and, with sync-on-commit, fdatasyncs the
+//     segments and then the journal: a synced record never names a page
+//     whose bytes are not synced.
+//   * maybe_commit() is the policy point after every journal record: under
+//     group commit it does nothing (the owner's timer drains the batch);
+//     without group commit but with sync-on-commit it commits inline, which
+//     is the per-write-fdatasync baseline the bench measures against.
 #pragma once
 
 #include <filesystem>
@@ -43,8 +46,8 @@ class DiskStore {
   explicit DiskStore(std::filesystem::path root,
                      std::size_t capacity_pages = 0);
 
-  /// Appends the page to the segment log (write-behind; see the durability
-  /// contract above). kNoSpace once the page capacity is reached.
+  /// Appends the page to the segment log (see the durability contract
+  /// above). kNoSpace once the page capacity is reached.
   Status put(const GlobalAddress& page, const Bytes& data);
   /// Batch form, for a whole victimization batch.
   Status put_batch(std::vector<PageWrite> batch);
@@ -63,26 +66,26 @@ class DiskStore {
     return capacity_ != 0 && segments_->live_pages() >= capacity_;
   }
 
-  /// Group commit: one fdatasync over every segment + journal record
-  /// appended since the last commit. The owning node drains on its
-  /// group-commit timer tick and at stop().
+  /// Group commit: one fdatasync per dirty file over every segment and
+  /// journal record appended since the last commit, segments first (with
+  /// sync-on-commit). The owning node drains on its group-commit timer
+  /// tick and at stop().
   Status commit();
-  /// Policy point called after each durable append (see header comment).
+  /// Policy point called after each journal record (see header comment).
   Status maybe_commit();
 
   /// Enables fdatasync-at-commit for pages, journal and meta sidecars
   /// (NodeConfig::sync_metadata).
-  void set_sync_on_commit(bool on);
-  /// Enables group commit: appends stop syncing inline and durability is
-  /// deferred to the owner's commit() timer.
-  void set_group_commit(bool on);
-  [[nodiscard]] bool group_commit() const { return group_commit_; }
+  void set_sync_on_commit(bool on) { sync_on_commit_ = on; }
+  /// Enables group commit: maybe_commit() stops committing inline and
+  /// durability is deferred to the owner's commit() timer.
+  void set_group_commit(bool on) { group_commit_ = on; }
 
   /// Checkpoint/compaction: rewrites live pages out of cold segments and
   /// unlinks them. Returns pages rewritten. Runs on the owner's checkpoint
   /// timer rail, never on a client op's hot path.
   std::size_t compact(std::size_t max_pages = 0) {
-    return segments_->compact(max_pages);
+    return segments_->compact(max_pages, sync_on_commit_);
   }
 
   /// Registers the storage.* instruments (docs/observability.md).

@@ -3,7 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <fstream>
+
 #include "common/log.h"
+#include "storage/segment_store.h"
 
 namespace khz::storage {
 
@@ -12,119 +15,79 @@ namespace {
 // Records are small (a descriptor, an address + version); anything huge is
 // torn-tail garbage, not data.
 constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
-
-std::uint32_t fnv1a(const Bytes& data) {
-  std::uint32_t h = 2166136261u;
-  for (std::uint8_t b : data) {
-    h ^= b;
-    h *= 16777619u;
-  }
-  return h;
-}
-
-void put_u32(std::ofstream& out, std::uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xff);
-  buf[1] = static_cast<char>((v >> 8) & 0xff);
-  buf[2] = static_cast<char>((v >> 16) & 0xff);
-  buf[3] = static_cast<char>((v >> 24) & 0xff);
-  out.write(buf, 4);
-}
-
-bool read_u32(std::ifstream& in, std::uint32_t& v) {
-  char buf[4];
-  in.read(buf, 4);
-  if (!in) return false;
-  v = static_cast<std::uint8_t>(buf[0]) |
-      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf[1])) << 8) |
-      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf[2])) << 16) |
-      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf[3])) << 24);
-  return true;
-}
+constexpr std::size_t kFrameHeaderBytes = 8;  // length + checksum
 
 }  // namespace
 
 MetaJournal::MetaJournal(std::filesystem::path path) : path_(std::move(path)) {
-  out_.open(path_, std::ios::binary | std::ios::app);
-  if (!out_) {
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+               0644);
+  if (fd_ < 0) {
     KHZ_ERROR("journal: cannot open %s for append", path_.c_str());
   }
 }
 
 MetaJournal::~MetaJournal() {
-  if (sync_fd_ >= 0) ::close(sync_fd_);
-}
-
-bool MetaJournal::sync_now() {
-  if (sync_fd_ < 0) {
-    // Same inode as out_: appends stay on the stream (buffered framing),
-    // durability goes through this descriptor. The journal file is only
-    // ever truncated in place (reset()), never replaced, so the fd stays
-    // valid across compactions.
-    sync_fd_ = ::open(path_.c_str(), O_WRONLY | O_CLOEXEC);
-    if (sync_fd_ < 0) {
-      KHZ_ERROR("journal: cannot open %s for fdatasync", path_.c_str());
-      return false;
-    }
-  }
-  return ::fdatasync(sync_fd_) == 0;
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status MetaJournal::append(const Bytes& record) {
-  if (!out_) return ErrorCode::kInternal;
-  put_u32(out_, static_cast<std::uint32_t>(record.size()));
-  put_u32(out_, fnv1a(record));
-  out_.write(reinterpret_cast<const char*>(record.data()),
-             static_cast<std::streamsize>(record.size()));
-  out_.flush();
-  if (!out_) return ErrorCode::kInternal;
-  if (sync_on_commit_) {
-    if (group_commit_) {
-      dirty_ = true;  // the next sync() covers this record
-    } else if (!sync_now()) {
-      return ErrorCode::kInternal;
-    }
+  if (fd_ < 0) return ErrorCode::kInternal;
+  Bytes frame;
+  frame.reserve(kFrameHeaderBytes + record.size());
+  Encoder e(std::move(frame));
+  e.u32(static_cast<std::uint32_t>(record.size()));
+  e.u32(fnv1a(record.data(), record.size()));
+  e.raw(record);
+  if (!write_all(fd_, e.data().data(), e.data().size())) {
+    return ErrorCode::kInternal;
   }
+  dirty_ = true;
   ++appended_;
   return {};
 }
 
 Status MetaJournal::sync() {
-  if (!sync_on_commit_ || !dirty_) return {};
+  if (!dirty_) return {};
+  if (::fdatasync(fd_) != 0) return ErrorCode::kInternal;
   dirty_ = false;
-  return sync_now() ? Status{} : Status{ErrorCode::kInternal};
+  return {};
 }
 
 std::size_t MetaJournal::replay(
     const std::function<void(const Bytes&)>& cb) const {
-  std::ifstream in(path_, std::ios::binary);
+  std::ifstream in(path_, std::ios::binary | std::ios::ate);
   if (!in) return 0;
+  Bytes raw(static_cast<std::size_t>(in.tellg()));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(raw.data()),
+          static_cast<std::streamsize>(raw.size()));
   std::size_t n = 0;
-  for (;;) {
-    std::uint32_t len = 0;
-    std::uint32_t sum = 0;
-    if (!read_u32(in, len) || !read_u32(in, sum)) break;
-    if (len > kMaxRecordBytes) break;
-    Bytes payload(len);
-    in.read(reinterpret_cast<char*>(payload.data()),
-            static_cast<std::streamsize>(len));
-    if (!in) break;  // torn tail: the append was cut short by a crash
-    if (fnv1a(payload) != sum) break;
-    cb(payload);
+  std::size_t pos = 0;
+  while (pos + kFrameHeaderBytes <= raw.size()) {
+    Decoder d(std::span<const std::uint8_t>(raw).subspan(pos,
+                                                         kFrameHeaderBytes));
+    const std::uint32_t len = d.u32();
+    const std::uint32_t sum = d.u32();
+    // A torn tail (the append was cut short by a crash) or a corrupt
+    // record ends the replay.
+    if (len > kMaxRecordBytes || pos + kFrameHeaderBytes + len > raw.size()) {
+      break;
+    }
+    const std::uint8_t* payload = raw.data() + pos + kFrameHeaderBytes;
+    if (fnv1a(payload, len) != sum) break;
+    cb(Bytes(payload, payload + len));
+    pos += kFrameHeaderBytes + len;
     ++n;
   }
   return n;
 }
 
 Status MetaJournal::reset() {
-  out_.close();
-  out_.open(path_, std::ios::binary | std::ios::trunc);
-  const bool ok = static_cast<bool>(out_);
-  out_.close();
-  out_.open(path_, std::ios::binary | std::ios::app);
   appended_ = 0;
   dirty_ = false;
-  return ok && out_ ? Status{} : Status{ErrorCode::kInternal};
+  return fd_ >= 0 && ::ftruncate(fd_, 0) == 0 ? Status{}
+                                               : Status{ErrorCode::kInternal};
 }
 
 }  // namespace khz::storage

@@ -8,6 +8,11 @@
 // ("node_state" meta blob), then replay the journal over it. The journal is
 // periodically compacted back into a fresh snapshot by the owner.
 //
+// Each append reaches the kernel with one write(2) before it returns, so a
+// killed process loses no record. The journal keeps no sync policy of its
+// own: DiskStore::commit() calls sync() after the segments it names are
+// synced.
+//
 // Record framing: u32 LE payload length, u32 LE FNV-1a checksum, payload.
 // Replay stops at the first truncated or corrupt record — exactly what a
 // crash mid-append leaves behind — so a torn tail never poisons recovery.
@@ -15,7 +20,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 
 #include "common/result.h"
@@ -32,28 +36,12 @@ class MetaJournal {
   MetaJournal(const MetaJournal&) = delete;
   MetaJournal& operator=(const MetaJournal&) = delete;
 
-  /// Appends one framed record and flushes it to the OS. With
-  /// sync-on-commit enabled (and group commit off) the record is also
-  /// fdatasync'd to stable storage before append() returns, so an
-  /// acknowledged metadata mutation survives power loss, not just a
-  /// process crash. Under group commit the fdatasync is deferred to the
-  /// next sync() — one sync covers the whole batch.
+  /// Appends one framed record with one write(2). It survives the process
+  /// at once, and power loss after the next sync().
   Status append(const Bytes& record);
 
-  /// Enables (or disables) fdatasync-on-commit. Off by default: the sim
-  /// worlds journal thousands of records per test and only need
-  /// crash-of-the-process durability, which flush() already gives them.
-  /// Production-profile nodes (NodeConfig::sync_metadata) turn it on.
-  void set_sync_on_commit(bool on) { sync_on_commit_ = on; }
-  [[nodiscard]] bool sync_on_commit() const { return sync_on_commit_; }
-
-  /// Under group commit append() stops syncing inline; DiskStore::commit()
-  /// calls sync() to fdatasync the accumulated records in one shot.
-  void set_group_commit(bool on) { group_commit_ = on; }
-
-  /// fdatasyncs any records appended since the last sync (no-op unless
-  /// sync-on-commit is enabled and something is pending). The group-commit
-  /// drain point.
+  /// fdatasyncs the records appended since the last sync (no-op when there
+  /// are none).
   Status sync();
 
   /// Invokes `cb` for every intact record, oldest first; returns how many
@@ -71,18 +59,10 @@ class MetaJournal {
   [[nodiscard]] const std::filesystem::path& path() const { return path_; }
 
  private:
-  /// The fd used for fdatasync. std::ofstream hides its descriptor, so the
-  /// sync path opens a second POSIX handle onto the same inode (lazily, on
-  /// the first synced append) and syncs through that after flush().
-  [[nodiscard]] bool sync_now();
-
   std::filesystem::path path_;
-  std::ofstream out_;
+  int fd_ = -1;  // O_APPEND: every write lands at the end, also after reset()
   std::size_t appended_ = 0;
-  bool sync_on_commit_ = false;
-  bool group_commit_ = false;
-  bool dirty_ = false;  // records flushed but not yet fdatasync'd
-  int sync_fd_ = -1;
+  bool dirty_ = false;  // records written but not yet fdatasync'd
 };
 
 }  // namespace khz::storage

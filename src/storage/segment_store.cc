@@ -23,6 +23,15 @@ constexpr std::uint64_t kHeaderBytes = 4 + 1 + 8 + 8 + 4 + 4;
 // Pages are small; anything larger in a length field is torn-tail garbage.
 constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
 
+std::uint64_t now_us() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+}  // namespace
+
 std::uint32_t fnv1a(const std::uint8_t* data, std::size_t n) {
   std::uint32_t h = 2166136261u;
   for (std::size_t i = 0; i < n; ++i) {
@@ -32,7 +41,6 @@ std::uint32_t fnv1a(const std::uint8_t* data, std::size_t n) {
   return h;
 }
 
-/// write(2) until the whole span is on the fd (short writes, EINTR).
 bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
   while (n > 0) {
     const ::ssize_t w = ::write(fd, data, n);
@@ -45,15 +53,6 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
   }
   return true;
 }
-
-std::uint64_t now_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 SegmentStore::SegmentStore(std::filesystem::path dir, SegmentConfig cfg)
     : dir_(std::move(dir)), cfg_(cfg) {
@@ -90,10 +89,6 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentConfig cfg)
 }
 
 SegmentStore::~SegmentStore() {
-  // Flush (no sync): a destroyed store must leave a complete log on the
-  // filesystem — sim-world "crash" destroys the Node, and restart tests
-  // expect pre-crash pages back byte-identically.
-  flush_buffer();
   for (auto& [id, seg] : segments_) {
     if (seg.read_fd >= 0) ::close(seg.read_fd);
   }
@@ -110,21 +105,19 @@ std::filesystem::path SegmentStore::seg_path(std::uint64_t id) const {
 
 void SegmentStore::open_head(std::uint64_t id) {
   head_ = id;
-  auto& seg = segments_[id];  // creates the entry for a fresh segment
+  segments_.try_emplace(id);  // a fresh segment gets its entry
   head_fd_ = ::open(seg_path(id).c_str(),
                     O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (head_fd_ < 0) {
     KHZ_ERROR("segment: cannot open %s for append", seg_path(id).c_str());
   }
-  head_flushed_ = seg.size;
 }
 
 void SegmentStore::rotate() {
-  flush_buffer();
   if (head_fd_ >= 0) {
-    if (sync_on_commit_ && head_dirty_) {
+    if (head_dirty_) {
       // The rotated-away file still holds uncommitted records; keep its fd
-      // so the next group commit can fdatasync it.
+      // so the next commit can fdatasync it.
       unsynced_fds_.push_back(head_fd_);
     } else {
       ::close(head_fd_);
@@ -134,48 +127,49 @@ void SegmentStore::rotate() {
   update_gauge();
 }
 
-Status SegmentStore::append(const GlobalAddress& addr, const Bytes* data) {
+Status SegmentStore::append(std::span<const Record> records) {
+  if (records.empty()) return {};
+  if (segments_[head_].size >= cfg_.segment_bytes) rotate();
   if (head_fd_ < 0) return ErrorCode::kInternal;
-  auto& head = segments_[head_];
-  if (head.size >= cfg_.segment_bytes) {
-    rotate();
-    return append(addr, data);
+  std::size_t frame_bytes = 0;
+  for (const auto& [addr, data] : records) {
+    frame_bytes += kHeaderBytes + (data ? data->size() : 0);
   }
-  const std::uint32_t len =
-      data ? static_cast<std::uint32_t>(data->size()) : 0;
-  Encoder e(std::move(buffer_));
-  e.u32(kMagic);
-  e.u8(data ? kKindPut : kKindTombstone);
-  e.u64(addr.hi);
-  e.u64(addr.lo);
-  e.u32(len);
-  e.u32(data ? fnv1a(data->data(), data->size()) : fnv1a(nullptr, 0));
-  if (data) e.raw(*data);
-  buffer_ = std::move(e).take();
-
-  auto& seg = segments_[head_];
-  drop_index(addr);
-  if (data) {
-    index_[addr] = Locator{head_, seg.size + kHeaderBytes, len};
-    seg.live_payload += len;
-    ++pending_pages_;
+  Bytes frames;
+  frames.reserve(frame_bytes);
+  Encoder e(std::move(frames));
+  for (const auto& [addr, data] : records) {
+    e.u32(kMagic);
+    e.u8(data ? kKindPut : kKindTombstone);
+    e.u64(addr.hi);
+    e.u64(addr.lo);
+    e.u32(data ? static_cast<std::uint32_t>(data->size()) : 0);
+    e.u32(data ? fnv1a(data->data(), data->size()) : fnv1a(nullptr, 0));
+    if (data) e.raw(*data);
   }
-  seg.total_payload += len;
-  seg.size += kHeaderBytes + len;
-  pending_bytes_ += kHeaderBytes + len;
-  head_dirty_ = true;
-  if (buffer_.size() >= cfg_.flush_buffer_bytes) flush_buffer();
-  return {};
-}
-
-void SegmentStore::flush_buffer() {
-  if (buffer_.empty()) return;
-  if (head_fd_ >= 0 && write_all(head_fd_, buffer_.data(), buffer_.size())) {
-    head_flushed_ += buffer_.size();
-  } else {
+  if (!write_all(head_fd_, e.data().data(), e.data().size())) {
+    // A short write may have left part of a record in the file; nothing
+    // more goes after it. Reopen's scan truncates the torn tail.
     KHZ_ERROR("segment: write to %s failed", seg_path(head_).c_str());
+    rotate();
+    return ErrorCode::kInternal;
   }
-  buffer_.clear();
+  auto& seg = segments_[head_];
+  for (const auto& [addr, data] : records) {
+    const std::uint32_t len =
+        data ? static_cast<std::uint32_t>(data->size()) : 0;
+    drop_index(addr);
+    if (data) {
+      index_[addr] = Locator{head_, seg.size + kHeaderBytes, len};
+      seg.live_payload += len;
+      ++pending_pages_;
+    }
+    seg.total_payload += len;
+    seg.size += kHeaderBytes + len;
+  }
+  pending_bytes_ += frame_bytes;
+  head_dirty_ = true;
+  return {};
 }
 
 void SegmentStore::drop_index(const GlobalAddress& addr) {
@@ -187,19 +181,21 @@ void SegmentStore::drop_index(const GlobalAddress& addr) {
 }
 
 Status SegmentStore::put(const GlobalAddress& addr, const Bytes& data) {
-  return append(addr, &data);
+  const Record record{addr, &data};
+  return append({&record, 1});
 }
 
 Status SegmentStore::put_batch(std::vector<PageWrite> batch) {
-  for (const PageWrite& w : batch) {
-    if (Status s = append(w.addr, &w.data); !s.ok()) return s;
-  }
-  return {};
+  std::vector<Record> records;
+  records.reserve(batch.size());
+  for (const PageWrite& w : batch) records.emplace_back(w.addr, &w.data);
+  return append(records);
 }
 
 bool SegmentStore::erase(const GlobalAddress& addr) {
   if (!index_.contains(addr)) return false;
-  (void)append(addr, nullptr);
+  const Record tombstone{addr, nullptr};
+  (void)append({&tombstone, 1});
   return true;
 }
 
@@ -216,12 +212,10 @@ int SegmentStore::reader(std::uint64_t id) {
 std::optional<Bytes> SegmentStore::get(const GlobalAddress& addr) {
   auto it = index_.find(addr);
   if (it == index_.end()) return std::nullopt;
-  const Locator loc = it->second;
-  if (loc.seg == head_ && loc.offset + loc.len > head_flushed_) {
-    // The record is still (partly) in the write-behind buffer; push it to
-    // the file rather than stitching reads across buffer and fd.
-    flush_buffer();
-  }
+  return read_payload(it->second);
+}
+
+std::optional<Bytes> SegmentStore::read_payload(const Locator& loc) {
   const int fd = reader(loc.seg);
   if (fd < 0) return std::nullopt;
   Bytes out(loc.len);
@@ -245,14 +239,13 @@ std::vector<GlobalAddress> SegmentStore::scan() const {
   return out;
 }
 
-Status SegmentStore::commit() {
-  if (buffer_.empty() && !head_dirty_ && unsynced_fds_.empty()) return {};
-  flush_buffer();
+Status SegmentStore::commit(bool sync) {
+  if (!head_dirty_ && unsynced_fds_.empty()) return {};
   if (group_commit_pages_ && pending_pages_ > 0) {
     group_commit_pages_->record(pending_pages_);
   }
   Status status;
-  if (sync_on_commit_) {
+  if (sync) {
     const std::uint64_t t0 = now_us();
     for (int fd : unsynced_fds_) {
       if (::fdatasync(fd) != 0) status = ErrorCode::kInternal;
@@ -312,8 +305,7 @@ std::uint64_t SegmentStore::scan_segment(std::uint64_t id) {
   return pos;
 }
 
-std::size_t SegmentStore::compact(std::size_t max_pages) {
-  flush_buffer();
+std::size_t SegmentStore::compact(std::size_t max_pages, bool sync) {
   // Cold candidates: every non-head segment less than half live. A fully
   // dead segment (live == 0) qualifies trivially and is just unlinked.
   std::vector<std::uint64_t> cold;
@@ -341,32 +333,24 @@ std::size_t SegmentStore::compact(std::size_t max_pages) {
         rewritten + live.size() > max_pages) {
       continue;
     }
+    // Read the whole live set, then write it to the head with one
+    // write(2). A segment that cannot be read or rewritten whole stays.
+    std::vector<Bytes> copies;
+    copies.reserve(live.size());  // keeps the records' payload pointers valid
+    std::vector<Record> records;
     for (const auto& [addr, loc] : live) {
-      const int fd = reader(id);
-      if (fd < 0) continue;
-      Bytes data(loc.len);
-      std::size_t done = 0;
-      bool ok = true;
-      while (done < data.size()) {
-        const ::ssize_t r =
-            ::pread(fd, data.data() + done, data.size() - done,
-                    static_cast<::off_t>(loc.offset + done));
-        if (r < 0 && errno == EINTR) continue;
-        if (r <= 0) {
-          ok = false;
-          break;
-        }
-        done += static_cast<std::size_t>(r);
-      }
-      if (!ok) continue;
-      (void)append(addr, &data);
-      ++rewritten;
+      auto data = read_payload(loc);
+      if (!data) break;
+      copies.push_back(std::move(*data));
+      records.emplace_back(addr, &copies.back());
     }
+    if (records.size() != live.size() || !append(records).ok()) continue;
+    rewritten += records.size();
     completed.push_back(id);
   }
   // Commit the copies before unlinking their sources: a crash in between
   // must always leave at least one committed copy of every page.
-  (void)commit();
+  (void)commit(sync);
   std::error_code ec;
   for (std::uint64_t id : completed) {
     auto it = segments_.find(id);

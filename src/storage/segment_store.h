@@ -8,21 +8,22 @@
 // structural reference in SNIPPETS.md):
 //
 //   * Pages are appended as framed records into large segment files
-//     (`<id>.seg`, default 8 MiB) through a write-behind buffer, so a page
-//     write is a memcpy plus an occasional coalesced write(2).
-//   * Durability is **group commit**: commit() flushes the buffer and
+//     (`<id>.seg`, default 8 MiB). Every append reaches the kernel before
+//     it returns: one write(2) per record, or per batch for put_batch()
+//     and for each segment compaction rewrites. A killed process therefore
+//     leaves every appended record in the file, and the journal record
+//     that names a page (written after the page) never outlives its bytes.
+//   * Durability against power loss is **group commit**: commit(true)
 //     issues one fdatasync covering every record appended since the last
-//     commit. The owner (core::Node) drains on a timer tick
-//     (group_commit_us), amortizing one sync over a whole batch of page
-//     writes — and, through
-//     DiskStore::commit(), the MetaJournal's records too.
+//     commit. DiskStore owns the policy: it commits the segments before
+//     the MetaJournal, on the owner's timer tick (group_commit_us) or after
+//     every journal record without group commit.
 //   * An in-memory index (address -> segment/offset/length) is the only
 //     lookup structure; it is rebuilt on open by scanning the segments in
 //     id order (newest record wins, tombstones delete). A torn tail — the
 //     signature of a crash mid-append — fails the record checksum, ends
 //     the scan of that segment, and is truncated away so new appends start
-//     from the last intact record. Everything group-committed before the
-//     crash is recovered byte-identically.
+//     from the last intact record.
 //   * compact() rewrites the live records out of mostly-dead cold segments
 //     into the head segment and unlinks them (checkpoint/compaction pass;
 //     Node runs it on its own timer rail so client ops never block on
@@ -37,7 +38,9 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/global_address.h"
@@ -55,13 +58,17 @@ struct PageWrite {
 };
 
 struct SegmentConfig {
-  /// Target segment file size; an append that pushes the head segment past
-  /// this rotates to a fresh file.
+  /// Target segment file size; the first append after the head segment
+  /// reaches it rotates to a fresh file.
   std::uint64_t segment_bytes = 8ull << 20;
-  /// Write-behind buffer: records accumulate in memory and reach the file
-  /// in one write(2) when the buffer fills (or at commit/rotation/read).
-  std::size_t flush_buffer_bytes = 256u << 10;
 };
+
+/// FNV-1a over `n` bytes: the record checksum of the segment log and of the
+/// metadata journal.
+std::uint32_t fnv1a(const std::uint8_t* data, std::size_t n);
+
+/// write(2) until all `n` bytes are on the fd (short writes, EINTR).
+bool write_all(int fd, const std::uint8_t* data, std::size_t n);
 
 /// Occupancy counters, for compaction policy and tests.
 struct SegmentStats {
@@ -80,11 +87,11 @@ class SegmentStore {
   SegmentStore(const SegmentStore&) = delete;
   SegmentStore& operator=(const SegmentStore&) = delete;
 
-  /// Appends one page record (write-behind; durable at the next committed
-  /// group commit when sync-on-commit is enabled).
+  /// Appends one page record with one write(2); durable at the next
+  /// commit(true).
   Status put(const GlobalAddress& addr, const Bytes& data);
-  /// Appends a batch of page records — the hierarchy's victimization
-  /// writeback path.
+  /// Appends a batch of page records with one write(2) — the hierarchy's
+  /// victimization writeback path.
   Status put_batch(std::vector<PageWrite> batch);
   /// Appends a tombstone; returns whether the page was present.
   bool erase(const GlobalAddress& addr);
@@ -97,14 +104,10 @@ class SegmentStore {
   /// Every live page (sorted), for restart recovery.
   [[nodiscard]] std::vector<GlobalAddress> scan() const;
 
-  /// Group commit: flushes the write-behind buffer and (when sync-on-commit
-  /// is on) fdatasyncs every segment fd dirtied since the last commit —
-  /// one sync for the whole batch. No-op when nothing is pending.
-  Status commit();
-  /// Enables fdatasync-on-commit (NodeConfig::sync_metadata). Off by
-  /// default: sim tests only need crash-of-the-process durability, which
-  /// the destructor's buffer flush provides.
-  void set_sync_on_commit(bool on) { sync_on_commit_ = on; }
+  /// Group commit: closes the batch appended since the last commit and,
+  /// when `sync`, fdatasyncs every segment fd it wrote — one sync for the
+  /// whole batch. No-op when nothing is pending.
+  Status commit(bool sync);
 
   /// Payload bytes appended since the last commit().
   [[nodiscard]] std::uint64_t pending_bytes() const { return pending_bytes_; }
@@ -112,14 +115,15 @@ class SegmentStore {
 
   /// Checkpoint/compaction: rewrites the live records of cold segments
   /// (less than half their payload still live, plus fully-dead ones) into
-  /// the head segment, commits the copies, then unlinks the sources.
+  /// the head segment, commits the copies (syncing them when `sync`), then
+  /// unlinks the sources.
   /// `max_pages` > 0 bounds the rewrite work of one pass: the pass always
   /// takes its first cold segment, whatever its live set, and after that
   /// only segments whose whole live set fits in the remaining budget
   /// (partially rewritten segments cannot be unlinked). A backlog drains
   /// across ticks instead of stalling one checkpoint, and a cold segment
   /// larger than the budget is still reclaimed. Returns pages rewritten.
-  std::size_t compact(std::size_t max_pages = 0);
+  std::size_t compact(std::size_t max_pages, bool sync);
 
   [[nodiscard]] SegmentStats stats() const;
 
@@ -136,14 +140,19 @@ class SegmentStore {
   struct Segment {
     std::uint64_t total_payload = 0;  // payload bytes ever appended
     std::uint64_t live_payload = 0;   // payload bytes still indexed
-    std::uint64_t size = 0;           // file size incl. buffered tail
+    std::uint64_t size = 0;           // file size
     int read_fd = -1;                 // lazy pread handle
   };
 
+  /// A page record to append, or a tombstone when the payload is null.
+  using Record = std::pair<GlobalAddress, const Bytes*>;
+
   [[nodiscard]] std::filesystem::path seg_path(std::uint64_t id) const;
-  /// Serializes one record into the write-behind buffer and indexes it.
-  Status append(const GlobalAddress& addr, const Bytes* data);
-  void flush_buffer();
+  /// Frames `records` and writes them to the head segment with one
+  /// write(2); indexes them only once their bytes are on the fd. A failed
+  /// write seals the head, so the next append starts a fresh segment at a
+  /// known offset.
+  Status append(std::span<const Record> records);
   void rotate();
   void open_head(std::uint64_t id);
   /// Scans one segment file into the index; returns the offset of the
@@ -151,19 +160,19 @@ class SegmentStore {
   std::uint64_t scan_segment(std::uint64_t id);
   void drop_index(const GlobalAddress& addr);
   [[nodiscard]] int reader(std::uint64_t id);
+  /// pread of one indexed payload; nullopt if the segment cannot be read.
+  [[nodiscard]] std::optional<Bytes> read_payload(const Locator& loc);
   void update_gauge();
 
   std::filesystem::path dir_;
   SegmentConfig cfg_;
-  bool sync_on_commit_ = false;
 
   std::unordered_map<GlobalAddress, Locator> index_;
   std::map<std::uint64_t, Segment> segments_;  // ordered: scan/compact order
   std::uint64_t head_ = 0;                     // current segment id
   int head_fd_ = -1;
-  std::uint64_t head_flushed_ = 0;  // file bytes actually written to the fd
-  Bytes buffer_;                    // write-behind tail of the head segment
-  /// Rotated-away fds not yet fdatasync'd (closed at the next commit).
+  /// Rotated-away fds written since the last commit (synced when the
+  /// commit syncs, then closed).
   std::vector<int> unsynced_fds_;
   bool head_dirty_ = false;
   std::uint64_t pending_bytes_ = 0;

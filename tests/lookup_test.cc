@@ -153,6 +153,19 @@ TEST(LookupTest, UnreserveRemovesMapEntryEventually) {
   world.pump_for(1'000'000);
   EXPECT_FALSE(
       world.node(0).address_map()->lookup(base.value()).has_value());
+  EXPECT_TRUE(world.node(0).cluster_state().hint(base.value()).empty());
+
+  // Unreserved from another node: the home drops the region the same way,
+  // map entry and the manager's location hint alike.
+  auto remote = world.create_region(1, 4096);
+  ASSERT_TRUE(remote.ok());
+  world.pump_for(1'000'000);
+  ASSERT_FALSE(world.node(0).cluster_state().hint(remote.value()).empty());
+  ASSERT_TRUE(world.unreserve(0, remote.value()).ok());
+  world.pump_for(1'000'000);
+  EXPECT_FALSE(
+      world.node(0).address_map()->lookup(remote.value()).has_value());
+  EXPECT_TRUE(world.node(0).cluster_state().hint(remote.value()).empty());
 }
 
 TEST(LookupTest, LargePageSizeRegionsLockWholePages) {

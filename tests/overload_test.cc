@@ -466,21 +466,6 @@ TEST(ReliableQueue, BoundEvictsOldestPerDestination) {
   engine.shutdown();
 }
 
-TEST(ReliableQueue, ZeroLimitKeepsLegacyUnboundedBehavior) {
-  RpcPolicy p = budget_policy(50.0, 0.2);
-  p.reliable_queue_limit = 0;
-  FakeEngineHost host;
-  obs::MetricsRegistry metrics;
-  RpcEngine engine(host, p, metrics);
-  host.down.insert(1);
-  for (std::uint8_t i = 0; i < 10; ++i) {
-    engine.send_reliable(1, MsgType::kFreeReq, Bytes{i});
-  }
-  EXPECT_EQ(engine.reliable_queue_depth(), 10u);
-  EXPECT_EQ(metrics.counter("rpc.reliable_dropped").value(), 0u);
-  engine.shutdown();
-}
-
 // ---------------------------------------------------------------------------
 // Simulator: the Nack path end to end, and the 2x-saturation soak
 // ---------------------------------------------------------------------------

@@ -129,15 +129,14 @@ TEST(MetaJournal, SyncOnCommitAppendsStayReplayableAcrossResets) {
   const fs::path p = tmp.path() / "j";
   {
     storage::MetaJournal j(p);
-    EXPECT_FALSE(j.sync_on_commit());
-    j.set_sync_on_commit(true);
-    EXPECT_TRUE(j.sync_on_commit());
     ASSERT_TRUE(j.append(Bytes{1, 2, 3}).ok());
     ASSERT_TRUE(j.append(Bytes{}).ok());
-    // Compaction truncates the file in place; the sync fd must keep
-    // working for appends after the reset.
+    ASSERT_TRUE(j.sync().ok());
+    // Compaction truncates the file in place; the fd must keep working for
+    // appends and syncs after the reset.
     ASSERT_TRUE(j.reset().ok());
     ASSERT_TRUE(j.append(Bytes{7, 8}).ok());
+    ASSERT_TRUE(j.sync().ok());
   }
   storage::MetaJournal j(p);
   std::vector<Bytes> got;
@@ -218,6 +217,112 @@ TEST(RecoveryTest, UnreservedRegionStaysGoneAfterRestart) {
   world.restart_node(1);
   auto r = world.get(1, {base.value(), 4096});
   EXPECT_FALSE(r.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Process death: a real SIGKILL against the simulator's crash
+// ---------------------------------------------------------------------------
+
+TEST(RecoveryTest, KilledProcessKeepsEveryAcknowledgedWrite) {
+  // A forked child writes v1 then v2 to a page homed on node 1 of a 2-node
+  // world and is killed the moment v2's put returns: no destructor, no
+  // commit, no stop(). Reopening its disk root must serve v2 at the home
+  // and at a remote reader, in every durability configuration, and
+  // crash_node/restart_node on a second root must read the same.
+  struct Config {
+    const char* name;
+    bool sync_metadata;
+    Micros group_commit_us;
+  };
+  const Config configs[] = {{"default", false, 0},
+                            {"sync_metadata", true, 0},
+                            {"sync_metadata+group_commit", true, 5'000}};
+  Bytes v1(4096);
+  Bytes v2(4096);
+  for (std::size_t i = 0; i < v1.size(); ++i) {
+    v1[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    v2[i] = static_cast<std::uint8_t>(i * 17 + 3);
+  }
+  // The probe: returns the page's address once v2's put has returned.
+  const auto write_v1_v2 = [&](SimWorld& world) -> Result<GlobalAddress> {
+    auto base = world.create_region(1, 4096);
+    if (!base.ok()) return base.error();
+    for (const Bytes* v : {&v1, &v2}) {
+      if (Status s = world.put(1, {base.value(), 4096}, *v); !s.ok()) {
+        return s.error();
+      }
+    }
+    return base.value();
+  };
+  const auto name = [&](const Bytes& b) {
+    if (b == v1) return "v1";
+    if (b == v2) return "v2";
+    return b == Bytes(b.size(), 0) ? "zeros" : "other bytes";
+  };
+  const auto reads_v2_everywhere = [&](SimWorld& world,
+                                       const GlobalAddress& base,
+                                       const char* after) {
+    for (NodeId reader : {NodeId{1}, NodeId{0}}) {
+      auto got = world.get(reader, {base, 4096});
+      ASSERT_TRUE(got.ok()) << after << ", reader " << reader << ": "
+                            << to_string(got.error());
+      EXPECT_STREQ(name(got.value()), "v2")
+          << after << ", reader " << reader;
+    }
+  };
+
+  TempDir tmp;
+  for (const Config& c : configs) {
+    SCOPED_TRACE(c.name);
+    SimWorldOptions opts;
+    opts.nodes = 2;
+    opts.sync_metadata = c.sync_metadata;
+    opts.group_commit_us = c.group_commit_us;
+    opts.disk_root = tmp.path() / (std::string("killed_") + c.name);
+
+    int pipe_fds[2] = {-1, -1};
+    ASSERT_EQ(::pipe(pipe_fds), 0);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::close(pipe_fds[0]);
+      SimWorld world(opts);
+      const auto base = write_v1_v2(world);
+      if (!base.ok()) ::_exit(2);
+      const std::uint64_t addr[2] = {base.value().hi, base.value().lo};
+      if (::write(pipe_fds[1], addr, sizeof(addr)) != sizeof(addr)) {
+        ::_exit(3);
+      }
+      std::raise(SIGKILL);
+      ::_exit(4);
+    }
+    ::close(pipe_fds[1]);
+    std::uint64_t addr[2] = {};
+    const ::ssize_t n = ::read(pipe_fds[0], addr, sizeof(addr));
+    ::close(pipe_fds[0]);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status)) << "child exited with status "
+                                     << WEXITSTATUS(status);
+    ASSERT_EQ(WTERMSIG(status), SIGKILL);
+    ASSERT_EQ(n, static_cast<::ssize_t>(sizeof(addr)));
+    const GlobalAddress base{addr[0], addr[1]};
+    {
+      SimWorld reopened(opts);
+      reads_v2_everywhere(reopened, base, "SIGKILL");
+    }
+
+    opts.disk_root = tmp.path() / (std::string("simulated_") + c.name);
+    SimWorld world(opts);
+    const auto sim_base = write_v1_v2(world);
+    ASSERT_TRUE(sim_base.ok());
+    ASSERT_EQ(sim_base.value(), base);
+    world.crash_node(1);
+    world.crash_node(0);
+    world.restart_node(0);
+    world.restart_node(1);
+    reads_v2_everywhere(world, base, "crash_node");
+  }
 }
 
 // ---------------------------------------------------------------------------

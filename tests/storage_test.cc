@@ -4,8 +4,11 @@
 // (promotion, batched victimization, eviction hook), and the page
 // directory.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 
@@ -191,7 +194,7 @@ TEST(SegmentStore, TornTailIsTruncatedOnReopen) {
     SegmentStore s(tmp.path());
     ASSERT_TRUE(s.put({0, 0}, page(1)).ok());
     ASSERT_TRUE(s.put({0, 4096}, page(2)).ok());
-    ASSERT_TRUE(s.commit().ok());
+    ASSERT_TRUE(s.commit(/*sync=*/false).ok());
   }
   // A crash mid-append leaves a partial record at the tail: simulate by
   // appending a truncated header + garbage.
@@ -210,7 +213,7 @@ TEST(SegmentStore, TornTailIsTruncatedOnReopen) {
   // The garbage was cut off and appends continue from the intact tail.
   EXPECT_EQ(fs::file_size(head), intact);
   ASSERT_TRUE(s2.put({0, 8192}, page(3)).ok());
-  ASSERT_TRUE(s2.commit().ok());
+  ASSERT_TRUE(s2.commit(/*sync=*/false).ok());
   SegmentStore s3(tmp.path());
   EXPECT_EQ(s3.live_pages(), 3u);
 }
@@ -233,19 +236,56 @@ TEST(SegmentStore, TornRecordLosesOnlyTheTail) {
   EXPECT_FALSE(s2.contains({0, 8192}));
 }
 
+TEST(SegmentStore, FailedWriteSealsTheHead) {
+  // A forked child appends one page, then hits the file-size limit
+  // part-way through the next append's write(2). That append must fail
+  // without indexing the page, and the next one must go to a fresh
+  // segment at a known offset. The store it leaves reopens with the first
+  // and third page, the torn bytes cut off.
+  TempDir tmp;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    SegmentStore s(tmp.path());
+    if (!s.put({0, 0}, page(1)).ok()) ::_exit(2);
+    // The first record is 4125 bytes; a 6000-byte limit cuts the second.
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lim{};
+    ::getrlimit(RLIMIT_FSIZE, &lim);
+    lim.rlim_cur = 6000;
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) ::_exit(3);
+    if (s.put({0, 4096}, page(2)).ok()) ::_exit(4);
+    if (s.contains({0, 4096})) ::_exit(5);
+    if (!s.put({0, 8192}, page(3)).ok()) ::_exit(6);
+    const auto got = s.get({0, 8192});
+    if (!got || *got != page(3) || s.stats().segments != 2) ::_exit(7);
+    ::_exit(0);  // no destructor runs
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  SegmentStore s(tmp.path());
+  EXPECT_EQ(s.stats().segments, 2u);
+  EXPECT_EQ(s.live_pages(), 2u);
+  EXPECT_FALSE(s.contains({0, 4096}));
+  EXPECT_EQ(*s.get({0, 0}), page(1));
+  EXPECT_EQ(*s.get({0, 8192}), page(3));
+}
+
 TEST(SegmentStore, GroupCommitTracksPendingBatch) {
   TempDir tmp;
   SegmentStore s(tmp.path());
-  s.set_sync_on_commit(true);
   EXPECT_EQ(s.pending_pages(), 0u);
   ASSERT_TRUE(s.put({0, 0}, page(1)).ok());
   ASSERT_TRUE(s.put({0, 4096}, page(2)).ok());
   EXPECT_EQ(s.pending_pages(), 2u);
   EXPECT_GT(s.pending_bytes(), 2u * 4096);  // payload + record headers
-  ASSERT_TRUE(s.commit().ok());
+  ASSERT_TRUE(s.commit(/*sync=*/true).ok());
   EXPECT_EQ(s.pending_pages(), 0u);
   EXPECT_EQ(s.pending_bytes(), 0u);
-  ASSERT_TRUE(s.commit().ok());  // empty commit is a no-op
+  ASSERT_TRUE(s.commit(/*sync=*/true).ok());  // empty commit is a no-op
 }
 
 TEST(SegmentStore, PutBatchAppendsAll) {
@@ -276,7 +316,7 @@ TEST(SegmentStore, CompactionRewritesColdSegments) {
   const auto before = s.stats();
   ASSERT_GT(before.segments, 2u);
   ASSERT_GT(before.dead_bytes, before.live_bytes);
-  const std::size_t rewritten = s.compact();
+  const std::size_t rewritten = s.compact(0, /*sync=*/false);
   const auto after = s.stats();
   EXPECT_LT(after.segments, before.segments);
   EXPECT_LT(after.dead_bytes, before.dead_bytes);
@@ -309,7 +349,7 @@ TEST(SegmentStore, BudgetedCompactionReclaimsAColdSegmentLargerThanTheBudget) {
   ASSERT_EQ(s.stats().dead_bytes, 9u * 4096);
   // A budget of 4 is smaller than the segment's live set, but the pass
   // still takes its first cold segment whole.
-  EXPECT_EQ(s.compact(4), 7u);
+  EXPECT_EQ(s.compact(4, /*sync=*/false), 7u);
   EXPECT_EQ(s.stats().segments, 1u);
   EXPECT_EQ(s.stats().dead_bytes, 0u);
   SegmentStore reopened(tmp.path(), cfg);
@@ -402,6 +442,29 @@ TEST(DiskStore, MetaIsNotAPage) {
   ASSERT_TRUE(d.put_meta("state", Bytes{1}).ok());
   EXPECT_TRUE(d.scan().empty());
   EXPECT_EQ(d.size(), 0u);
+}
+
+TEST(DiskStore, JournalNeverNamesAPageItsSegmentsLack) {
+  // A killed process runs no destructor and no commit: whatever a second
+  // open of the root finds is what a kill leaves. A journal record written
+  // after its page must never reach the file without the page's bytes.
+  TempDir tmp;
+  const Bytes v = page(0x5C);
+  const GlobalAddress p{3, 8192};
+  DiskStore d(tmp.path());
+  ASSERT_TRUE(d.put(p, v).ok());
+  ASSERT_TRUE(d.journal().append(Bytes{4, 2}).ok());
+
+  DiskStore reopened(tmp.path());
+  std::vector<Bytes> records;
+  EXPECT_EQ(
+      reopened.journal().replay([&](const Bytes& r) { records.push_back(r); }),
+      1u);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], (Bytes{4, 2}));
+  const auto got = reopened.get(p);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, v);
 }
 
 TEST(DiskStore, MaybeCommitInlineWithoutGroupCommit) {
